@@ -51,7 +51,6 @@ struct TrackedLoad {
     seq: u64,
     addr: Addr,
     issued: bool,
-    buffered: bool,
 }
 
 use lsq_isa::Addr;
@@ -65,7 +64,10 @@ pub struct LoadBuffer {
     /// tracked load has issued). Cached so the per-issue NILP lookup does
     /// not rescan the queue.
     nilp_idx: usize,
-    buffered: usize,
+    /// The buffer itself: `(seq, word)` of each buffered load, in no
+    /// particular order and never more than `capacity` of them. The
+    /// violation search scans only these.
+    buffer: Vec<(u64, u64)>,
     total_searches: u64,
 }
 
@@ -78,7 +80,7 @@ impl LoadBuffer {
             capacity,
             loads: std::collections::VecDeque::new(),
             nilp_idx: 0,
-            buffered: 0,
+            buffer: Vec::with_capacity(capacity),
             total_searches: 0,
         }
     }
@@ -91,7 +93,7 @@ impl LoadBuffer {
     /// Number of buffer entries currently occupied (= loads currently
     /// issued out of order).
     pub fn occupancy(&self) -> usize {
-        self.buffered
+        self.buffer.len()
     }
 
     /// Total load-buffer searches performed so far.
@@ -112,7 +114,6 @@ impl LoadBuffer {
             seq,
             addr,
             issued: false,
-            buffered: false,
         });
     }
 
@@ -120,13 +121,12 @@ impl LoadBuffer {
     /// the load-load ordering violation the buffer search detects.
     // lsq-lint: hot
     fn violation_victim(&self, seq: u64, addr: Addr) -> Option<u64> {
-        if self.buffered == 0 {
-            return None;
-        }
-        self.loads
+        let word = addr.word();
+        self.buffer
             .iter()
-            .find(|l| l.buffered && l.seq > seq && l.addr.same_word(addr))
-            .map(|l| l.seq)
+            .filter(|&&(s, w)| s > seq && w == word)
+            .map(|&(s, _)| s)
+            .min()
     }
 
     /// The NILP: sequence number of the oldest non-issued load.
@@ -165,9 +165,7 @@ impl LoadBuffer {
                 if !l.issued {
                     break;
                 }
-                if l.buffered {
-                    l.buffered = false;
-                    self.buffered -= 1;
+                if release(&mut self.buffer, l.seq) {
                     // The released load performs its final buffer search.
                     searches += 1;
                 }
@@ -179,13 +177,12 @@ impl LoadBuffer {
                 violation,
             }
         } else {
-            if self.buffered == self.capacity {
+            if self.buffer.len() == self.capacity {
                 return LbIssue::Full;
             }
             let violation = self.violation_victim(seq, addr);
             self.loads[idx].issued = true;
-            self.loads[idx].buffered = true;
-            self.buffered += 1;
+            self.buffer.push((seq, addr.word()));
             self.total_searches += 1;
             LbIssue::Buffered { violation }
         }
@@ -200,12 +197,10 @@ impl LoadBuffer {
         // lsq-lint: allow(no-unwrap-in-lib, reason = "in-order commit retires only loads the buffer tracked at dispatch")
         let front = self.loads.pop_front().expect("commit of untracked load");
         assert_eq!(front.seq, seq, "loads commit in program order");
-        if front.buffered {
-            // Unreachable in a well-formed pipeline (all older loads have
-            // committed, so the NILP passed this load), but release
-            // defensively so capacity can never leak.
-            self.buffered -= 1;
-        }
+        // A buffered front load is unreachable in a well-formed pipeline
+        // (all older loads have committed, so the NILP passed this load),
+        // but release defensively so capacity can never leak.
+        release(&mut self.buffer, seq);
         if self.nilp_idx > 0 {
             self.nilp_idx -= 1;
         } else {
@@ -221,11 +216,9 @@ impl LoadBuffer {
             if back.seq < seq {
                 break;
             }
-            if back.buffered {
-                self.buffered -= 1;
-            }
             self.loads.pop_back();
         }
+        self.buffer.retain(|&(s, _)| s < seq);
         self.nilp_idx = self.nilp_idx.min(self.loads.len());
     }
 
@@ -233,6 +226,15 @@ impl LoadBuffer {
     pub fn in_flight(&self) -> usize {
         self.loads.len()
     }
+}
+
+/// Frees the buffer entry of load `seq`; returns whether it had one.
+fn release(buffer: &mut Vec<(u64, u64)>, seq: u64) -> bool {
+    let held = buffer.iter().position(|&(s, _)| s == seq);
+    if let Some(i) = held {
+        buffer.swap_remove(i);
+    }
+    held.is_some()
 }
 
 #[cfg(test)]

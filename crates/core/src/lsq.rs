@@ -23,6 +23,32 @@
 //! oracle) but become visible to the *hardware* only at issue; forwarding
 //! and violation checks use hardware-visible state, while the perfect
 //! predictor peeks at the oracle.
+//!
+//! # Search layout
+//!
+//! Each queue keeps, beside its entry structs, two packed arrays in the
+//! same order: a scan key `word << 1 | issued` and the entry's segment
+//! byte. Every search reads only those arrays and touches an entry's
+//! cold fields (`forwarded_from`, `pc`, …) only where a key matches, the
+//! way a CAM compares addresses and reads the matching row.
+//!
+//! Searches start at the searcher's own position rather than filtering
+//! the whole queue: a forwarding search walks back from the first store
+//! younger than the load (a binary search on sequence numbers), a
+//! violation search walks forward from the first load younger than the
+//! store, and a load-load search from the entry after the load. A
+//! segmented search checks each new segment's port as it appends it to
+//! the path, and stops building the path once it holds every segment.
+//! That is exactly the outcome of building the whole path and then
+//! asking [`PortBook::can_book`]: the path is the same prefix in the same
+//! order, and the booking is all-or-nothing over it, so the first busy
+//! segment decides the stall.
+//!
+//! The load queue also tracks the NILP (the index of its oldest
+//! non-issued load) and its issued-load count. Every load before the
+//! NILP has issued and the load at the NILP has not, so the loads issued
+//! out of program order number `issued - nilp`, and a load has an older
+//! unissued load exactly when its index exceeds the NILP; both are O(1).
 
 use crate::config::{ConfigError, LsqConfig, PredictorKind};
 use crate::load_buffer::{LbIssue, LoadBuffer};
@@ -31,7 +57,6 @@ use crate::stats::LsqStats;
 use crate::store_set::{Ssid, StoreSetPredictor};
 use lsq_isa::{Addr, Pc};
 use lsq_obs::{Event, MemOp, NopTracer, QueueSide, Tracer};
-use std::collections::VecDeque;
 
 /// Outcome of a load trying to issue this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,7 +140,6 @@ struct LqEntry {
     seq: u64,
     pc: Pc,
     addr: Addr,
-    issued: bool,
     forwarded_from: Option<u64>,
     place: Placement,
     ssid: Option<Ssid>,
@@ -127,12 +151,143 @@ struct SqEntry {
     seq: u64,
     pc: Pc,
     addr: Addr,
-    issued: bool,
     /// Left the ROB; waiting to drain (write the cache and free the
     /// entry).
     retired: bool,
     place: Placement,
     ssid: Option<Ssid>,
+}
+
+/// The packed scan key of an entry: its word address with the issued
+/// flag in bit 0. A search for issued entries of a word compares keys
+/// against `scan_key(addr, true)`.
+#[inline]
+fn scan_key(addr: Addr, issued: bool) -> u64 {
+    addr.word() << 1 | u64::from(issued)
+}
+
+/// Whether a packed scan key has its issued flag set.
+#[inline]
+fn key_issued(key: u64) -> bool {
+    key & 1 == 1
+}
+
+/// One side of the LSQ, oldest entry first: the cold entry structs and
+/// the packed arrays the searches scan, kept index-aligned.
+///
+/// The three arrays share one sliding window `head..`: dispatch pushes
+/// at the back, a squash pops from the back, and retirement advances
+/// `head`. The retired prefix is reclaimed once it is as long as the
+/// live part, so every entry moves O(1) times amortized, the arrays
+/// never outgrow about twice the queue's capacity, and every search
+/// scans one contiguous slice.
+#[derive(Debug, Clone)]
+struct Queue<E> {
+    entries: Vec<E>,
+    /// `scan_key` of each entry.
+    keys: Vec<u64>,
+    /// Segment of each entry.
+    segs: Vec<u8>,
+    head: usize,
+}
+
+impl<E: Copy> Queue<E> {
+    /// Retired prefix length below which reclaiming is not worth a call.
+    const RECLAIM_MIN: usize = 16;
+
+    fn with_capacity(capacity: usize) -> Self {
+        let room = 2 * capacity + Self::RECLAIM_MIN;
+        Self {
+            entries: Vec::with_capacity(room),
+            keys: Vec::with_capacity(room),
+            segs: Vec::with_capacity(room),
+            head: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.keys.len() - self.head
+    }
+
+    fn entries(&self) -> &[E] {
+        &self.entries[self.head..]
+    }
+
+    fn keys(&self) -> &[u64] {
+        &self.keys[self.head..]
+    }
+
+    fn segs(&self) -> &[u8] {
+        &self.segs[self.head..]
+    }
+
+    fn entry_mut(&mut self, i: usize) -> &mut E {
+        &mut self.entries[self.head + i]
+    }
+
+    fn is_issued(&self, i: usize) -> bool {
+        key_issued(self.keys[self.head + i])
+    }
+
+    fn set_issued(&mut self, i: usize) {
+        self.keys[self.head + i] |= 1;
+    }
+
+    fn push_back(&mut self, e: E, key: u64, seg: u8) {
+        self.entries.push(e);
+        self.keys.push(key);
+        self.segs.push(seg);
+    }
+
+    fn pop_front(&mut self) -> Option<E> {
+        let e = *self.entries.get(self.head)?;
+        self.head += 1;
+        if self.head >= self.len().max(Self::RECLAIM_MIN) {
+            self.entries.drain(..self.head);
+            self.keys.drain(..self.head);
+            self.segs.drain(..self.head);
+            self.head = 0;
+        }
+        Some(e)
+    }
+
+    fn pop_back(&mut self) -> Option<E> {
+        if self.len() == 0 {
+            return None;
+        }
+        self.keys.pop();
+        self.segs.pop();
+        self.entries.pop()
+    }
+}
+
+/// A search path needs a port that is already booked this cycle.
+struct PortBusy;
+
+/// Appends `seg` to a search path unless the path already holds it,
+/// checking the port first: the segment is searched at cycle offset
+/// `path.len()`. Returns `Err` when that port is taken.
+// lsq-lint: hot
+#[inline]
+fn extend_path(path: &mut Vec<usize>, ports: &PortBook, seg: u8) -> Result<(), PortBusy> {
+    let seg = usize::from(seg);
+    if path.contains(&seg) {
+        return Ok(());
+    }
+    if !ports.slot_free(path.len(), seg) {
+        return Err(PortBusy);
+    }
+    path.push(seg);
+    Ok(())
+}
+
+/// A search with nothing to walk still occupies one port for a cycle in
+/// `seg`, the segment it starts from.
+// lsq-lint: hot
+#[inline]
+fn single_segment_path(path: &mut Vec<usize>, ports: &PortBook, seg: u8) -> Result<(), PortBusy> {
+    path.clear();
+    extend_path(path, ports, seg)
 }
 
 /// The configurable load/store queue model.
@@ -145,8 +300,16 @@ pub struct Lsq<T: Tracer = NopTracer> {
     cfg: LsqConfig,
     pred: StoreSetPredictor,
     lb: Option<LoadBuffer>,
-    lq: VecDeque<LqEntry>,
-    sq: VecDeque<SqEntry>,
+    lq: Queue<LqEntry>,
+    sq: Queue<SqEntry>,
+    /// Index in `lq` of the oldest non-issued load (`lq.len()` when every
+    /// load has issued).
+    lq_nilp: usize,
+    /// Issued loads in `lq`.
+    lq_issued: usize,
+    /// Segments per queue (1 when unsegmented): a path this long holds
+    /// every segment and cannot grow.
+    nsegs: usize,
     lq_alloc: SegmentedAlloc,
     sq_alloc: SegmentedAlloc,
     lq_ports: PortBook,
@@ -176,9 +339,15 @@ impl<T: Tracer> Lsq<T> {
     ///
     /// # Errors
     ///
-    /// Returns the validation error of an inconsistent [`LsqConfig`].
+    /// Returns the validation error of an inconsistent [`LsqConfig`], or
+    /// of one with more than 256 segments (segments are packed in a
+    /// byte).
     pub fn with_tracer(cfg: LsqConfig, tracer: T) -> Result<Self, ConfigError> {
         cfg.validate()?;
+        let nsegs = cfg.num_segments();
+        if nsegs > usize::from(u8::MAX) + 1 {
+            return Err(ConfigError::new("at most 256 segments per queue"));
+        }
         let (lq_alloc, sq_alloc) = match cfg.segmentation {
             Some(seg) => (
                 SegmentedAlloc::new(seg.segments, seg.entries_per_segment, seg.alloc),
@@ -189,7 +358,6 @@ impl<T: Tracer> Lsq<T> {
                 SegmentedAlloc::unsegmented(cfg.sq_entries),
             ),
         };
-        let nsegs = cfg.num_segments();
         Ok(Self {
             pred: StoreSetPredictor::new(
                 cfg.ssit_entries,
@@ -198,8 +366,11 @@ impl<T: Tracer> Lsq<T> {
                 !cfg.predictor.uses_real_tables(),
             ),
             lb: cfg.load_order.buffer_entries().map(LoadBuffer::new),
-            lq: VecDeque::new(),
-            sq: VecDeque::new(),
+            lq: Queue::with_capacity(cfg.lq_capacity()),
+            sq: Queue::with_capacity(cfg.sq_capacity()),
+            lq_nilp: 0,
+            lq_issued: 0,
+            nsegs,
             lq_alloc,
             sq_alloc,
             lq_ports: PortBook::new(nsegs, cfg.ports),
@@ -253,21 +424,27 @@ impl<T: Tracer> Lsq<T> {
     /// Panics if the queue is full or `seq` is not younger than every
     /// resident load.
     pub fn dispatch_load(&mut self, seq: u64, pc: Pc, addr: Addr) {
-        assert!(self.lq.back().is_none_or(|e| e.seq < seq), "program order");
+        assert!(
+            self.lq.entries().last().is_none_or(|e| e.seq < seq),
+            "program order"
+        );
         // lsq-lint: allow(no-unwrap-in-lib, reason = "dispatch is gated on lq_free() by the pipeline; overflow here is a dispatch-stage bug")
         let place = self.lq_alloc.allocate().expect("load queue full");
         let pred = self.pred.on_load_fetch(pc);
-        self.lq.push_back(LqEntry {
-            seq,
-            pc,
-            addr,
-            issued: false,
-            forwarded_from: None,
-            place,
-            ssid: pred.ssid,
-            // Only an older store can gate this load.
-            wait_store: pred.wait_store.filter(|&s| s < seq),
-        });
+        self.lq.push_back(
+            LqEntry {
+                seq,
+                pc,
+                addr,
+                forwarded_from: None,
+                place,
+                ssid: pred.ssid,
+                // Only an older store can gate this load.
+                wait_store: pred.wait_store.filter(|&s| s < seq),
+            },
+            scan_key(addr, false),
+            place.segment as u8,
+        );
         if let Some(lb) = &mut self.lb {
             lb.on_dispatch(seq, addr);
         }
@@ -289,19 +466,25 @@ impl<T: Tracer> Lsq<T> {
     /// Panics if the queue is full or `seq` is not younger than every
     /// resident store.
     pub fn dispatch_store(&mut self, seq: u64, pc: Pc, addr: Addr) {
-        assert!(self.sq.back().is_none_or(|e| e.seq < seq), "program order");
+        assert!(
+            self.sq.entries().last().is_none_or(|e| e.seq < seq),
+            "program order"
+        );
         // lsq-lint: allow(no-unwrap-in-lib, reason = "dispatch is gated on sq_free() by the pipeline; overflow here is a dispatch-stage bug")
         let place = self.sq_alloc.allocate().expect("store queue full");
         let ssid = self.pred.on_store_fetch(pc, seq);
-        self.sq.push_back(SqEntry {
-            seq,
-            pc,
-            addr,
-            issued: false,
-            retired: false,
-            place,
-            ssid,
-        });
+        self.sq.push_back(
+            SqEntry {
+                seq,
+                pc,
+                addr,
+                retired: false,
+                place,
+                ssid,
+            },
+            scan_key(addr, false),
+            place.segment as u8,
+        );
         self.stats.stores_dispatched += 1;
         if self.tracer.enabled() {
             self.tracer.emit(Event::Dispatch {
@@ -319,122 +502,130 @@ impl<T: Tracer> Lsq<T> {
 
     // lsq-lint: hot
     fn lq_index(&self, seq: u64) -> Option<usize> {
-        self.lq.binary_search_by_key(&seq, |e| e.seq).ok()
+        self.lq.entries().binary_search_by_key(&seq, |e| e.seq).ok()
     }
 
     // lsq-lint: hot
     fn sq_index(&self, seq: u64) -> Option<usize> {
-        self.sq.binary_search_by_key(&seq, |e| e.seq).ok()
+        self.sq.entries().binary_search_by_key(&seq, |e| e.seq).ok()
     }
 
-    /// Youngest issued older store writing the same word, if any — the
-    /// store-to-load forwarding source.
+    /// Builds `self.sq_path_buf`, the segment path of a forwarding
+    /// search over the `older` stores older than the load: distinct
+    /// segments youngest first, ending at the segment of the forwarding
+    /// match. Nothing older searches the tail segment only. An
+    /// unsegmented queue's path is always `[0]`.
     // lsq-lint: hot
-    fn forwarding_source(&self, load_seq: u64, addr: Addr) -> Option<u64> {
-        self.sq
-            .iter()
-            .rev()
-            .filter(|s| s.seq < load_seq)
-            .find(|s| s.issued && s.addr.same_word(addr))
-            .map(|s| s.seq)
-    }
-
-    /// Whether the oracle sees any older in-flight store to the same word
-    /// (the perfect predictor's decision).
-    // lsq-lint: hot
-    fn oracle_dependent(&self, load_seq: u64, addr: Addr) -> bool {
-        self.sq
-            .iter()
-            .any(|s| s.seq < load_seq && s.addr.same_word(addr))
-    }
-
-    /// Recomputes `self.sq_path_buf` as the segment path of a forwarding
-    /// search: distinct segments of stores older than the load, youngest
-    /// first, truncated at the segment containing the forwarding match.
-    /// Empty span searches the tail segment only.
-    ///
-    /// The path lands in a reusable scratch buffer so issuing never
-    /// allocates; an unsegmented queue's path is always `[0]`, so the
-    /// queue walk is skipped entirely there.
-    // lsq-lint: hot
-    fn compute_sq_search_path(&mut self, load_seq: u64, addr: Addr) {
-        self.sq_path_buf.clear();
+    fn sq_search_path(&mut self, older: usize, target: u64) -> Result<(), PortBusy> {
+        let (path, ports) = (&mut self.sq_path_buf, &self.sq_ports);
         if self.cfg.segmentation.is_none() {
-            self.sq_path_buf.push(0);
-            return;
+            return single_segment_path(path, ports, 0);
         }
-        let path = &mut self.sq_path_buf;
-        for s in self.sq.iter().rev().filter(|s| s.seq < load_seq) {
-            if path.last() != Some(&s.place.segment) && !path.contains(&s.place.segment) {
-                path.push(s.place.segment);
-            }
-            if s.issued && s.addr.same_word(addr) {
-                break; // match found in this segment; search stops here
-            }
-        }
-        if path.is_empty() {
-            // Nothing older in the queue: the search still occupies one
-            // port for a cycle in the segment it starts from.
-            path.push(self.sq.back().map_or(0, |s| s.place.segment));
-        }
-    }
-
-    /// Recomputes `self.lq_path_buf` as the segment path of a store's
-    /// violation search over loads younger than the store — distinct
-    /// segments oldest-first, stopping at the segment containing the
-    /// oldest violating load — and returns that victim, if any.
-    // lsq-lint: hot
-    fn compute_lq_violation_scan(&mut self, store_seq: u64, addr: Addr) -> Option<u64> {
-        let premature = |l: &&LqEntry| {
-            l.issued && l.addr.same_word(addr) && l.forwarded_from.is_none_or(|f| f < store_seq)
-        };
-        self.lq_path_buf.clear();
-        if self.cfg.segmentation.is_none() {
-            self.lq_path_buf.push(0);
-            return self
-                .lq
+        path.clear();
+        let (keys, segs) = (self.sq.keys(), self.sq.segs());
+        // Walk back one run of same-segment stores at a time.
+        let mut end = older;
+        while end > 0 {
+            let seg = segs[end - 1];
+            extend_path(path, ports, seg)?;
+            let start = segs[..end]
                 .iter()
-                .filter(|l| l.seq > store_seq)
-                .find(premature)
-                .map(|l| l.seq);
-        }
-        let path = &mut self.lq_path_buf;
-        let mut victim = None;
-        for l in self.lq.iter().filter(|l| l.seq > store_seq) {
-            if !path.contains(&l.place.segment) {
-                path.push(l.place.segment);
+                .rposition(|&s| s != seg)
+                .map_or(0, |i| i + 1);
+            if path.len() == self.nsegs || keys[start..end].contains(&target) {
+                return Ok(());
             }
-            if premature(&l) {
-                victim = Some(l.seq);
-                break;
-            }
+            end = start;
         }
         if path.is_empty() {
-            path.push(self.lq.back().map_or(0, |l| l.place.segment));
+            return single_segment_path(path, ports, segs.last().copied().unwrap_or(0));
         }
-        victim
+        Ok(())
     }
 
-    /// Recomputes `self.lq_path_buf` as the segment path of a load-load
-    /// ordering search over loads younger than the load (no victim in a
+    /// Index of the forwarding source: the youngest issued store among
+    /// the `older` stores older than the load that writes the load's
+    /// word.
+    // lsq-lint: hot
+    fn forwarding_source(&self, older: usize, target: u64) -> Option<usize> {
+        self.sq.keys()[..older].iter().rposition(|&k| k == target)
+    }
+
+    /// Builds `self.lq_path_buf`, the segment path of a store's violation
+    /// search over loads younger than the store (distinct segments
+    /// oldest first, ending at the segment of the oldest premature load),
+    /// and returns that victim, if any.
+    // lsq-lint: hot
+    fn lq_violation_scan(&mut self, store_seq: u64, addr: Addr) -> Result<Option<u64>, PortBusy> {
+        let (path, ports) = (&mut self.lq_path_buf, &self.lq_ports);
+        let (entries, keys, segs) = (self.lq.entries(), self.lq.keys(), self.lq.segs());
+        let start = entries.partition_point(|l| l.seq <= store_seq);
+        let target = scan_key(addr, true);
+        // The oldest premature load in `range`: an issued load of the
+        // word that did not forward from this store or a younger one.
+        let victim_in = |range: std::ops::Range<usize>| {
+            range
+                .filter(|&i| keys[i] == target)
+                .find(|&i| entries[i].forwarded_from.is_none_or(|f| f < store_seq))
+                .map(|i| entries[i].seq)
+        };
+        if self.cfg.segmentation.is_none() {
+            single_segment_path(path, ports, 0)?;
+            return Ok(victim_in(start..keys.len()));
+        }
+        path.clear();
+        // Walk forward one run of same-segment loads at a time.
+        let mut from = start;
+        while from < keys.len() {
+            let seg = segs[from];
+            extend_path(path, ports, seg)?;
+            if path.len() == self.nsegs {
+                return Ok(victim_in(from..keys.len()));
+            }
+            let to = segs[from..]
+                .iter()
+                .position(|&s| s != seg)
+                .map_or(keys.len(), |n| from + n);
+            if let Some(victim) = victim_in(from..to) {
+                return Ok(Some(victim));
+            }
+            from = to;
+        }
+        if path.is_empty() {
+            single_segment_path(path, ports, segs.last().copied().unwrap_or(0))?;
+        }
+        Ok(None)
+    }
+
+    /// Builds `self.lq_path_buf`, the segment path of a load-load
+    /// ordering search over the loads after index `idx` (no victim in a
     /// uniprocessor run: the search is pure bandwidth, which is exactly
     /// what the paper measures).
     // lsq-lint: hot
-    fn compute_lq_loadload_path(&mut self, load_seq: u64) {
-        self.lq_path_buf.clear();
+    fn lq_loadload_path(&mut self, idx: usize) -> Result<(), PortBusy> {
+        let (path, ports) = (&mut self.lq_path_buf, &self.lq_ports);
         if self.cfg.segmentation.is_none() {
-            self.lq_path_buf.push(0);
-            return;
+            return single_segment_path(path, ports, 0);
         }
-        let path = &mut self.lq_path_buf;
-        for l in self.lq.iter().filter(|l| l.seq > load_seq) {
-            if !path.contains(&l.place.segment) {
-                path.push(l.place.segment);
+        path.clear();
+        let segs = self.lq.segs();
+        // Visit only the first load of each run of same-segment loads.
+        let mut from = idx + 1;
+        while from < segs.len() {
+            let seg = segs[from];
+            extend_path(path, ports, seg)?;
+            if path.len() == self.nsegs {
+                return Ok(());
             }
+            from = segs[from..]
+                .iter()
+                .position(|&s| s != seg)
+                .map_or(segs.len(), |n| from + n);
         }
         if path.is_empty() {
-            path.push(self.lq.back().map_or(0, |l| l.place.segment));
+            return single_segment_path(path, ports, segs.last().copied().unwrap_or(0));
         }
+        Ok(())
     }
 
     /// Attempts to issue load `seq` this cycle.
@@ -451,55 +642,65 @@ impl<T: Tracer> Lsq<T> {
     pub fn load_issue(&mut self, seq: u64) -> LoadIssue {
         // lsq-lint: allow(no-unwrap-in-lib, reason = "load_issue's documented # Panics contract: seq must be a dispatched, unretired load")
         let idx = self.lq_index(seq).expect("load is in the load queue");
-        assert!(!self.lq[idx].issued, "load already issued");
-        let addr = self.lq[idx].addr;
+        assert!(!self.lq.is_issued(idx), "load already issued");
+        let LqEntry {
+            addr,
+            pc,
+            ssid,
+            wait_store,
+            ..
+        } = self.lq.entries()[idx];
 
         // 1. Store-set issue gating: wait while the predicted store is in
         //    flight and unissued.
         if !self.cfg.store_set_gating {
-            self.lq[idx].wait_store = None;
-        }
-        if let Some(ws) = self.lq[idx].wait_store {
+            self.lq.entry_mut(idx).wait_store = None;
+        } else if let Some(ws) = wait_store {
             match self.sq_index(ws) {
-                Some(sidx) if !self.sq[sidx].issued => {
+                Some(sidx) if !self.sq.is_issued(sidx) => {
                     self.stats.store_set_waits += 1;
                     return LoadIssue::WaitStore(ws);
                 }
-                _ => self.lq[idx].wait_store = None,
+                _ => self.lq.entry_mut(idx).wait_store = None,
             }
         }
 
         // 2. In-order load policies gate on older unissued loads.
-        if self.cfg.load_order.in_order() && self.lq.iter().take(idx).any(|l| !l.issued) {
+        if self.cfg.load_order.in_order() && self.lq_nilp < idx {
             self.stats.in_order_stalls += 1;
             return LoadIssue::InOrderStall;
         }
 
-        // 3. Decide whether this load searches the store queue.
-        let searches_sq = match self.cfg.predictor {
-            PredictorKind::None => true,
-            PredictorKind::Perfect => self.oracle_dependent(seq, addr),
-            PredictorKind::Aggressive | PredictorKind::Pair => {
-                self.pred.must_search(self.lq[idx].ssid)
-            }
+        // 3. Decide whether this load searches the store queue. Every
+        //    store search covers only the `older` stores older than the
+        //    load; the perfect predictor searches when the oracle sees
+        //    one of them writing the load's word.
+        let mut searches_sq = match self.cfg.predictor {
+            PredictorKind::None | PredictorKind::Perfect => true,
+            PredictorKind::Aggressive | PredictorKind::Pair => self.pred.must_search(ssid),
         };
+        let older = if searches_sq {
+            self.sq.entries().partition_point(|s| s.seq < seq)
+        } else {
+            0
+        };
+        if self.cfg.predictor == PredictorKind::Perfect {
+            searches_sq = self.sq.keys()[..older]
+                .iter()
+                .any(|&k| k >> 1 == addr.word());
+        }
+        let target = scan_key(addr, true);
 
-        // 4. Check (without booking) every port the load needs. Paths are
-        //    computed into the reusable scratch buffers.
-        if searches_sq {
-            self.compute_sq_search_path(seq, addr);
-            if !self.sq_ports.can_book(&self.sq_path_buf) {
-                self.stats.sq_port_stalls += 1;
-                return LoadIssue::NoSqPort;
-            }
+        // 4. Check (without booking) every port the load needs, segment
+        //    by segment as the paths are built into the scratch buffers.
+        if searches_sq && self.sq_search_path(older, target).is_err() {
+            self.stats.sq_port_stalls += 1;
+            return LoadIssue::NoSqPort;
         }
         let searches_lq = self.cfg.load_order.searches_lq();
-        if searches_lq {
-            self.compute_lq_loadload_path(seq);
-            if !self.lq_ports.can_book(&self.lq_path_buf) {
-                self.stats.lq_port_stalls += 1;
-                return LoadIssue::NoLqPort;
-            }
+        if searches_lq && self.lq_loadload_path(idx).is_err() {
+            self.stats.lq_port_stalls += 1;
+            return LoadIssue::NoLqPort;
         }
         if let Some(lb) = &self.lb {
             // Out-of-order issue needs a load-buffer entry.
@@ -516,8 +717,7 @@ impl<T: Tracer> Lsq<T> {
         // a positional property the scheduler knows at schedule time.
         // Loads in younger segments forgo early scheduling even when
         // their search happens to end within one segment.
-        let head_segment = self.lq.front().map_or(0, |e| e.place.segment);
-        let mut early_wakeup = self.lq[idx].place.segment == head_segment;
+        let mut early_wakeup = self.lq.segs()[idx] == self.lq.segs()[0];
         if searches_sq {
             self.sq_ports.book(&self.sq_path_buf);
             self.stats.sq_searches += 1;
@@ -550,14 +750,13 @@ impl<T: Tracer> Lsq<T> {
                     load_order_violation = violation;
                 }
             }
-        } else if searches_lq {
+        } else if searches_lq && self.cfg.load_load_squash {
             // Conventional load-load search: detect the oldest younger
             // same-word load already issued out of order.
-            load_order_violation = self
-                .lq
+            load_order_violation = self.lq.keys()[idx + 1..]
                 .iter()
-                .find(|l| l.seq > seq && l.issued && l.addr.same_word(addr))
-                .map(|l| l.seq);
+                .position(|&k| k == target)
+                .map(|i| self.lq.entries()[idx + 1 + i].seq);
         }
         if !self.cfg.load_load_squash {
             load_order_violation = None;
@@ -566,45 +765,43 @@ impl<T: Tracer> Lsq<T> {
         }
 
         let mut useless_search = false;
+        let trains_pairs = matches!(
+            self.cfg.predictor,
+            PredictorKind::Aggressive | PredictorKind::Pair
+        );
         let forwarded_from = if searches_sq {
-            let hit = self.forwarding_source(seq, addr);
-            match hit {
-                Some(store_seq) => {
+            match self.forwarding_source(older, target) {
+                Some(sidx) => {
                     self.stats.sq_search_hits += 1;
+                    let store = self.sq.entries()[sidx];
                     // The pair predictor learns *all* matching pairs, not
                     // just violating ones (§2.1, Figure 2).
-                    if matches!(
-                        self.cfg.predictor,
-                        PredictorKind::Aggressive | PredictorKind::Pair
-                    ) {
-                        let store_pc =
-                            // lsq-lint: allow(no-unwrap-in-lib, reason = "the SQ search just above returned this store, so it is resident")
-                            self.sq[self.sq_index(store_seq).expect("store resident")].pc;
-                        let load_pc = self.lq[idx].pc;
-                        self.pred.train_pair(load_pc, store_pc);
+                    if trains_pairs {
+                        self.pred.train_pair(pc, store.pc);
                     }
+                    Some(store.seq)
                 }
                 None => {
-                    if matches!(
-                        self.cfg.predictor,
-                        PredictorKind::Aggressive | PredictorKind::Pair
-                    ) {
+                    if trains_pairs {
                         self.stats.useless_searches += 1;
                         useless_search = true;
                     }
+                    None
                 }
             }
-            hit
         } else {
             None
         };
 
-        let e = &mut self.lq[idx];
-        e.issued = true;
-        e.forwarded_from = forwarded_from;
+        self.lq.set_issued(idx);
+        self.lq.entry_mut(idx).forwarded_from = forwarded_from;
+        self.lq_issued += 1;
+        if idx == self.lq_nilp {
+            let after = &self.lq.keys()[idx + 1..];
+            self.lq_nilp = idx + 1 + after.iter().take_while(|&&k| key_issued(k)).count();
+        }
         self.stats.loads_issued += 1;
         if self.tracer.enabled() {
-            let pc = self.lq[idx].pc;
             if searches_sq {
                 self.tracer.emit(Event::SqSearch {
                     load: seq,
@@ -659,26 +856,23 @@ impl<T: Tracer> Lsq<T> {
     pub fn store_issue(&mut self, seq: u64) -> StoreIssue {
         // lsq-lint: allow(no-unwrap-in-lib, reason = "store_issue's documented # Panics contract: seq must be a dispatched, unretired store")
         let idx = self.sq_index(seq).expect("store is in the store queue");
-        assert!(!self.sq[idx].issued, "store already executed");
-        let addr = self.sq[idx].addr;
+        assert!(!self.sq.is_issued(idx), "store already executed");
+        let SqEntry { addr, pc, ssid, .. } = self.sq.entries()[idx];
 
         // Conventional/perfect schemes: violation search at execute.
         let searches_lq = !self.cfg.predictor.detects_at_commit();
         let mut violation = None;
         if searches_lq {
-            let victim = self.compute_lq_violation_scan(seq, addr);
-            if !self.lq_ports.can_book(&self.lq_path_buf) {
+            let Ok(victim) = self.lq_violation_scan(seq, addr) else {
                 self.stats.lq_port_stalls += 1;
                 return StoreIssue::NoLqPort;
-            }
+            };
             self.lq_ports.book(&self.lq_path_buf);
             self.stats.lq_searches_by_stores += 1;
             violation = victim;
         }
 
-        let e = &mut self.sq[idx];
-        e.issued = true;
-        let (ssid, pc) = (e.ssid, e.pc);
+        self.sq.set_issued(idx);
         if let Some(ssid) = ssid {
             self.pred.on_store_issue(ssid, seq);
         }
@@ -712,7 +906,7 @@ impl<T: Tracer> Lsq<T> {
             self.stats.commit_violations += 1;
         }
         // lsq-lint: allow(no-unwrap-in-lib, reason = "the LQ violation scan just above returned this victim, so it is resident")
-        let load_pc = self.lq[self.lq_index(victim).expect("victim resident")].pc;
+        let load_pc = self.lq.entries()[self.lq_index(victim).expect("victim resident")].pc;
         self.pred.train_pair(load_pc, store_pc);
         if self.tracer.enabled() {
             self.tracer.emit(Event::Violation {
@@ -734,10 +928,14 @@ impl<T: Tracer> Lsq<T> {
     ///
     /// Panics if `seq` is not the oldest resident load.
     pub fn commit_load(&mut self, seq: u64) {
+        let issued = self.lq.keys().first().is_some_and(|&k| key_issued(k));
         // lsq-lint: allow(no-unwrap-in-lib, reason = "in-order commit retires only loads the LQ tracked at dispatch")
         let front = self.lq.pop_front().expect("commit of empty load queue");
         assert_eq!(front.seq, seq, "loads retire in program order");
-        assert!(front.issued, "committing an unissued load");
+        assert!(issued, "committing an unissued load");
+        // An issued front load lies before the NILP.
+        self.lq_nilp -= 1;
+        self.lq_issued -= 1;
         self.lq_alloc.free(front.place);
         if let Some(lb) = &mut self.lb {
             lb.on_commit(seq);
@@ -755,12 +953,12 @@ impl<T: Tracer> Lsq<T> {
     pub fn store_retire(&mut self, seq: u64) {
         // lsq-lint: allow(no-unwrap-in-lib, reason = "stores retire in program order after dispatch; a miss here is a pipeline bug")
         let idx = self.sq_index(seq).expect("store resident at retirement");
-        assert!(self.sq[idx].issued, "retiring an unexecuted store");
+        assert!(self.sq.is_issued(idx), "retiring an unexecuted store");
         assert!(
-            self.sq.iter().take(idx).all(|s| s.retired),
+            self.sq.entries()[..idx].iter().all(|s| s.retired),
             "stores retire in program order"
         );
-        self.sq[idx].retired = true;
+        self.sq.entry_mut(idx).retired = true;
     }
 
     /// Whether any retired-but-undrained store older than `seq` exists.
@@ -768,7 +966,10 @@ impl<T: Tracer> Lsq<T> {
     /// must still find them in the load queue.
     // lsq-lint: hot
     pub fn has_undrained_store_before(&self, seq: u64) -> bool {
-        self.sq.front().is_some_and(|s| s.retired && s.seq < seq)
+        self.sq
+            .entries()
+            .first()
+            .is_some_and(|s| s.retired && s.seq < seq)
     }
 
     /// Attempts to drain the oldest retired store: the commit-time
@@ -777,7 +978,7 @@ impl<T: Tracer> Lsq<T> {
     /// charges the d-cache port.
     // lsq-lint: hot
     pub fn drain_store(&mut self) -> StoreDrain {
-        let Some(front) = self.sq.front().copied() else {
+        let Some(&front) = self.sq.entries().first() else {
             return StoreDrain::Idle;
         };
         if !front.retired {
@@ -786,11 +987,10 @@ impl<T: Tracer> Lsq<T> {
 
         let mut violation = None;
         if self.cfg.predictor.detects_at_commit() {
-            let victim = self.compute_lq_violation_scan(front.seq, front.addr);
-            if !self.lq_ports.can_book(&self.lq_path_buf) {
+            let Ok(victim) = self.lq_violation_scan(front.seq, front.addr) else {
                 self.stats.commit_port_delays += 1;
                 return StoreDrain::Blocked;
-            }
+            };
             self.lq_ports.book(&self.lq_path_buf);
             self.stats.lq_searches_by_stores += 1;
             violation = victim;
@@ -825,15 +1025,19 @@ impl<T: Tracer> Lsq<T> {
     /// another processor would plausibly write (shared data being read).
     // lsq-lint: hot
     pub fn nth_issued_load_addr(&self, n: usize) -> Option<Addr> {
-        let count = self.lq.iter().filter(|l| l.issued).count();
-        if count == 0 {
+        if self.lq_issued == 0 {
             return None;
         }
-        self.lq
-            .iter()
-            .filter(|l| l.issued)
-            .nth(n % count)
-            .map(|l| l.addr)
+        let n = n % self.lq_issued;
+        // Every load before the NILP has issued.
+        if n < self.lq_nilp {
+            return Some(self.lq.entries()[n].addr);
+        }
+        let nilp = self.lq_nilp;
+        (nilp..self.lq.len())
+            .filter(|&i| key_issued(self.lq.keys()[i]))
+            .nth(n - nilp)
+            .map(|i| self.lq.entries()[i].addr)
     }
 
     /// Processes an external invalidation of `addr`'s word (§2.2 scheme
@@ -844,11 +1048,13 @@ impl<T: Tracer> Lsq<T> {
     /// ports (the paper makes the same argument).
     pub fn invalidate(&mut self, addr: Addr) -> Option<u64> {
         self.stats.invalidations += 1;
+        let target = scan_key(addr, true);
         let victim = self
             .lq
+            .keys()
             .iter()
-            .find(|l| l.issued && l.addr.same_word(addr))
-            .map(|l| l.seq);
+            .position(|&k| k == target)
+            .map(|i| self.lq.entries()[i].seq);
         if victim.is_some() {
             self.stats.invalidation_squashes += 1;
         }
@@ -863,24 +1069,25 @@ impl<T: Tracer> Lsq<T> {
     /// queues, rolling back predictor counters, load-buffer entries, and
     /// allocation cursors.
     pub fn squash_from(&mut self, seq: u64) {
+        let keep = self.lq.entries().partition_point(|e| e.seq < seq);
+        self.lq_issued -= self.lq.keys()[keep..]
+            .iter()
+            .filter(|&&k| key_issued(k))
+            .count();
+        self.lq_nilp = self.lq_nilp.min(keep);
         let mut oldest_lq: Option<Placement> = None;
-        while let Some(back) = self.lq.back() {
-            if back.seq < seq {
-                break;
-            }
+        while self.lq.len() > keep {
             // lsq-lint: allow(no-unwrap-in-lib, reason = "squash pops from the tail only while entries remain younger than the victim")
             let e = self.lq.pop_back().expect("non-empty");
             self.lq_alloc.free(e.place);
             oldest_lq = Some(e.place);
         }
         self.lq_alloc
-            .rewind_after_squash(oldest_lq, self.lq.back().map(|e| e.place));
+            .rewind_after_squash(oldest_lq, self.lq.entries().last().map(|e| e.place));
 
+        let keep = self.sq.entries().partition_point(|e| e.seq < seq);
         let mut oldest_sq: Option<Placement> = None;
-        while let Some(back) = self.sq.back() {
-            if back.seq < seq {
-                break;
-            }
+        while self.sq.len() > keep {
             // lsq-lint: allow(no-unwrap-in-lib, reason = "squash pops from the tail only while entries remain younger than the victim")
             let e = self.sq.pop_back().expect("non-empty");
             self.sq_alloc.free(e.place);
@@ -890,7 +1097,7 @@ impl<T: Tracer> Lsq<T> {
             }
         }
         self.sq_alloc
-            .rewind_after_squash(oldest_sq, self.sq.back().map(|e| e.place));
+            .rewind_after_squash(oldest_sq, self.sq.entries().last().map(|e| e.place));
 
         if let Some(lb) = &mut self.lb {
             lb.squash_from(seq);
@@ -912,35 +1119,26 @@ impl<T: Tracer> Lsq<T> {
     }
 
     /// Number of loads currently issued out of program order (an older
-    /// load is still unissued) — the paper's Table 4 metric.
+    /// load is still unissued) — the paper's Table 4 metric. Every issued
+    /// load past the NILP is one.
     pub fn out_of_order_issued_loads(&self) -> usize {
-        let mut unissued_seen = false;
-        let mut count = 0;
-        for l in &self.lq {
-            if l.issued {
-                if unissued_seen {
-                    count += 1;
-                }
-            } else {
-                unissued_seen = true;
-            }
-        }
-        count
+        self.lq_issued - self.lq_nilp
     }
 
     /// Whether load `seq` is resident and issued.
     pub fn load_is_issued(&self, seq: u64) -> bool {
-        self.lq_index(seq).is_some_and(|i| self.lq[i].issued)
+        self.lq_index(seq).is_some_and(|i| self.lq.is_issued(i))
     }
 
     /// Whether store `seq` is resident and executed.
     pub fn store_is_issued(&self, seq: u64) -> bool {
-        self.sq_index(seq).is_some_and(|i| self.sq[i].issued)
+        self.sq_index(seq).is_some_and(|i| self.sq.is_issued(i))
     }
 
     /// The forwarding source bound to an issued load, if any.
     pub fn load_forwarded_from(&self, seq: u64) -> Option<u64> {
-        self.lq_index(seq).and_then(|i| self.lq[i].forwarded_from)
+        self.lq_index(seq)
+            .and_then(|i| self.lq.entries()[i].forwarded_from)
     }
 }
 

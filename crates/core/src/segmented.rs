@@ -217,6 +217,20 @@ impl PortBook {
         self.ports - self.window[0][segment]
     }
 
+    /// Whether `segment` has a port free at cycle offset `offset` (no
+    /// state change). A path fits exactly when every `(i, path[i])` slot
+    /// is free, so a search can check its segments one at a time as it
+    /// builds the path and give up at the first busy one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset` is not below the segment count or `segment` is
+    /// out of range.
+    #[inline]
+    pub fn slot_free(&self, offset: usize, segment: usize) -> bool {
+        self.window[offset][segment] < self.ports
+    }
+
     /// Whether a pipelined search touching `path[i]` at cycle offset `i`
     /// could be booked right now (no state change).
     ///
@@ -231,7 +245,7 @@ impl PortBook {
         );
         path.iter()
             .enumerate()
-            .all(|(offset, &seg)| self.window[offset][seg] < self.ports)
+            .all(|(offset, &seg)| self.slot_free(offset, seg))
     }
 
     /// Books a search previously checked with [`Self::can_book`].
@@ -262,7 +276,9 @@ impl PortBook {
         true
     }
 
-    /// Clears all reservations (used when the pipeline squashes).
+    /// Clears all reservations. The simulator never calls this: a
+    /// squash leaves the bookings of searches already under way in
+    /// place, as their ports stay busy.
     pub fn clear(&mut self) {
         for cycle in &mut self.window {
             cycle.fill(0);
