@@ -11,9 +11,10 @@
 //! to run everything in paper order.
 
 use lsq_experiments::experiments::{by_name, ARTIFACT_NAMES};
-use lsq_experiments::RunSpec;
+use lsq_experiments::RunOptions;
 
 fn main() {
+    let opts = RunOptions::parse_or_exit(std::env::vars_os());
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args
         .iter()
@@ -31,7 +32,8 @@ fn main() {
         }
         std::process::exit(if args.is_empty() { 2 } else { 0 });
     }
-    let spec = RunSpec::default();
+    let spec = opts.spec();
+    lsq_experiments::engine::configure(opts);
     for name in &args {
         match by_name(name, spec) {
             Some(a) => println!("{a}"),

@@ -26,7 +26,8 @@
 //! comparing revisions (see "Simulator performance" in EXPERIMENTS.md).
 
 use lsq_core::{LsqConfig, PredictorKind, SegAlloc};
-use lsq_experiments::runner::{run_matrix, RunSpec};
+use lsq_experiments::runner::run_matrix;
+use lsq_experiments::RunOptions;
 use lsq_obs::Json;
 
 /// The standard throughput matrix: one representative per LSQ family.
@@ -64,8 +65,10 @@ fn usage(msg: &str) -> ! {
 }
 
 fn main() {
+    let opts = RunOptions::parse_or_exit(std::env::vars_os());
     let mut out = String::from("BENCH_sim.json");
-    let mut spec = RunSpec::default();
+    let mut spec = opts.spec();
+    lsq_experiments::engine::configure(opts);
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {

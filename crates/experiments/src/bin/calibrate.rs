@@ -4,6 +4,7 @@
 //! profiles as `program_seed`.
 
 use lsq_core::LsqConfig;
+use lsq_experiments::{Engine, RunOptions};
 use lsq_pipeline::{SimConfig, Simulator};
 use lsq_trace::{BenchProfile, TraceGenerator};
 
@@ -43,6 +44,7 @@ fn ipc_for(profile: &BenchProfile, pseed: u64) -> (f64, f64) {
 }
 
 fn main() {
+    let engine = Engine::with_options(RunOptions::parse_or_exit(std::env::vars_os()));
     let seeds: Vec<u64> = (0..56).collect();
     // One task per benchmark on the engine's work-stealing scheduler
     // (honors LSQ_JOBS; defaults to available parallelism).
@@ -67,7 +69,7 @@ fn main() {
             }
         })
         .collect();
-    for (name, target, (seed, score, ipc, ooo)) in lsq_experiments::engine::run_tasks(tasks) {
+    for (name, target, (seed, score, ipc, ooo)) in engine.run_tasks(tasks) {
         println!(
             "{name}: best seed {seed} ipc {ipc:.2} ooo {ooo:.1} (target {target}, score {score:.2})"
         );

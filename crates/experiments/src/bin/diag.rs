@@ -8,15 +8,19 @@
 //! Table 3 predictor counters), the per-static-PC squash / useless-search
 //! attribution, and the trace-ring occupancy. When `LSQ_TRACE` /
 //! `LSQ_SAMPLE_CYCLES` are set the captured trace and timeline are also
-//! written to the configured files.
+//! written to the configured files; the other observer knobs
+//! (`LSQ_PIPEVIEW`, `LSQ_ACCOUNTING`, `LSQ_PROFILE`) apply as in any
+//! engine run.
 
 use lsq_core::LsqConfig;
-use lsq_experiments::runner::{run_traced, RunSpec};
+use lsq_experiments::runner::{run_observed, Observers};
+use lsq_experiments::RunOptions;
 use lsq_obs::TraceConfig;
 
 fn main() {
+    let opts = RunOptions::parse_or_exit(std::env::vars_os());
     let mut bench = String::from("gcc");
-    let mut spec = RunSpec::default();
+    let mut spec = opts.spec();
     let mut top = 10usize;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -42,14 +46,16 @@ fn main() {
 
     // Trace even without LSQ_TRACE so the attribution report is always
     // available; files are only written when LSQ_TRACE names a path.
-    let trace = TraceConfig::from_env();
-    let ring = trace.clone().unwrap_or_else(|| {
-        TraceConfig::parse(
-            "diag-unwritten",
-            lsq_util::knobs::get("LSQ_SAMPLE_CYCLES").as_deref(),
-        )
-    });
-    let (r, buf, sampler) = run_traced(&bench, LsqConfig::default(), false, spec, &ring);
+    let trace = opts.observers.trace.clone();
+    let ring = trace
+        .clone()
+        .unwrap_or_else(|| TraceConfig::parse("diag-unwritten", None));
+    let observers = Observers {
+        trace: Some(ring),
+        ..opts.observers
+    };
+    let run = run_observed(&bench, LsqConfig::default(), false, spec, &observers);
+    let (r, buf, sampler) = (run.result, run.trace.unwrap_or_default(), run.sampler);
 
     println!("{}", r.registry(&format!("diag: {bench} (base)")).render());
     println!();

@@ -24,6 +24,7 @@
 
 use lsq_core::{LoadOrderPolicy, LsqConfig, PredictorKind, SegAlloc};
 use lsq_experiments::runner::{run_design_point, RunSpec};
+use lsq_experiments::RunOptions;
 use lsq_pipeline::SimResult;
 use lsq_trace::BenchProfile;
 
@@ -46,11 +47,11 @@ fn usage(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Args {
+fn parse_args(defaults: RunSpec) -> Args {
     let mut bench = None;
     let mut lsq = LsqConfig::default();
     let mut scaled = false;
-    let mut spec = RunSpec::default();
+    let mut spec = defaults;
     let mut csv = false;
 
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -207,7 +208,9 @@ fn print_csv(bench: &str, r: &SimResult) {
 }
 
 fn main() {
-    let args = parse_args();
+    let opts = RunOptions::parse_or_exit(std::env::vars_os());
+    let args = parse_args(opts.spec());
+    lsq_experiments::engine::configure(opts);
     // `--bench all` goes through the engine as one batch so benchmarks
     // run on the work-stealing pool (`LSQ_JOBS` workers) instead of
     // serially; single benchmarks take the same path with one job.

@@ -12,37 +12,17 @@
 //! deterministic, so a cached result is exactly the result a fresh run
 //! would produce (modulo the host-timing fields).
 //!
-//! Observability knobs (all environment variables):
-//!
-//! * `LSQ_JOBS=<n>` — worker threads (default:
-//!   `std::thread::available_parallelism()`).
-//! * `LSQ_PROGRESS=1|0` — force the per-job progress/ETA line on stderr
-//!   on or off (default: on when stderr is a terminal).
-//! * `LSQ_EXPERIMENTS_JSON=<path>` — after every batch, dump every job
-//!   run so far (configuration, headline counters, violation / squash /
-//!   port-stall counters, timing, whether it was served from cache) as a
-//!   JSON array to `<path>`.
-//! * `LSQ_TRACE=<path>[:events|:chrome|:timeline]` and
-//!   `LSQ_SAMPLE_CYCLES=<n>` — trace every *fresh* job through the
-//!   [`lsq_obs`] event ring / windowed sampler (cache hits re-serve old
-//!   results and are not re-traced); see [`lsq_obs::TraceConfig`].
-//! * `LSQ_METRICS_ADDR=<ip:port>` — serve live telemetry over HTTP
-//!   while batches run: `/metrics` in Prometheus text format, `/jobs`
-//!   as a JSON snapshot (see [`crate::telemetry`]).
-//! * `LSQ_PROFILE=1` — run every fresh job under the simulator
-//!   self-profiler ([`lsq_pipeline::WallProfiler`]): each
-//!   `LSQ_EXPERIMENTS_JSON` record carries its per-phase wall-time
-//!   profile, and the engine prints (and exposes) the batch aggregate.
-//! * `LSQ_ACCOUNTING=1` — run every fresh job under the cycle
-//!   accountant ([`lsq_pipeline::SlotAccountant`]): each
-//!   `LSQ_EXPERIMENTS_JSON` record carries its CPI stack, the engine
-//!   prints the batch aggregate, and the per-component totals are
-//!   exposed as `lsq_cpi_stack_cycles_total{component=...}`.
-//! * `LSQ_ACCOUNTING_CSV=<path>[:window]` — with accounting on, also
-//!   write each fresh job's windowed per-component timeline as CSV
-//!   (job 0 gets `<path>` verbatim, later jobs a `.N` suffix).
+//! Observers are part of the key too: a run with the cycle accountant
+//! attached is cached apart from a plain run of the same design point,
+//! so an artifact that asks for CPI stacks
+//! ([`Engine::run_batch_observed`]) never receives an unaccounted result
+//! cached by an earlier artifact. The engine's own options — worker
+//! count, progress meter, JSON dump, metrics server, and observers
+//! attached to every fresh job — come from [`RunOptions`], which
+//! documents the knobs behind them.
 
-use crate::runner::RunSpec;
+use crate::options::RunOptions;
+use crate::runner::{Observers, RunSpec};
 use crate::telemetry;
 use lsq_core::LsqConfig;
 use lsq_obs::Json;
@@ -50,6 +30,7 @@ use lsq_pipeline::{CpiStack, PhaseProfile, SimConfig, SimResult, StageLatency};
 use lsq_util::sync::MutexExt;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{IsTerminal, Write};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::Instant;
@@ -70,25 +51,34 @@ pub struct Job {
 /// Result-cache key: everything that determines a run's outcome. The
 /// full [`SimConfig`] (not just the LSQ point and the scaled flag it was
 /// derived from) is hashed, so two jobs collide only if the simulator
-/// would be configured identically.
+/// would be configured identically; the attached observer set is hashed
+/// because observers add fields (profile, CPI stack, stage latencies)
+/// to the result.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct JobKey {
     bench: &'static str,
     sim: SimConfig,
     spec: RunSpec,
+    observers: [bool; 4],
 }
 
 impl Job {
-    fn key(&self) -> JobKey {
-        let sim = if self.scaled {
+    /// The simulator configuration this job runs: the base or the §4.3
+    /// scaled processor around its LSQ design point.
+    pub(crate) fn sim_config(&self) -> SimConfig {
+        if self.scaled {
             SimConfig::scaled(self.lsq)
         } else {
             SimConfig::with_lsq(self.lsq)
-        };
+        }
+    }
+
+    fn key(&self, observers: &Observers) -> JobKey {
         JobKey {
             bench: self.bench,
-            sim,
+            sim: self.sim_config(),
             spec: self.spec,
+            observers: observers.set(),
         }
     }
 }
@@ -98,54 +88,12 @@ impl Job {
 struct JobRecord {
     job: Job,
     cached: bool,
-    wall_nanos: u64,
-    cycles: u64,
-    committed: u64,
-    ipc: f64,
-    sim_mips: f64,
-    violations: u64,
-    commit_violations: u64,
-    useless_searches: u64,
-    load_load_violations: u64,
-    violation_squashes: u64,
-    instructions_squashed: u64,
-    sq_port_stalls: u64,
-    lq_port_stalls: u64,
-    commit_port_delays: u64,
-    capped: bool,
-    profile: Option<PhaseProfile>,
-    cpi_stack: Option<CpiStack>,
-    stage_latency: Option<StageLatency>,
+    result: SimResult,
 }
 
 impl JobRecord {
-    fn from_result(job: Job, cached: bool, r: &SimResult) -> Self {
-        Self {
-            job,
-            cached,
-            wall_nanos: r.wall_nanos,
-            cycles: r.cycles,
-            committed: r.committed,
-            ipc: r.ipc(),
-            sim_mips: r.sim_mips,
-            violations: r.lsq.violations,
-            commit_violations: r.lsq.commit_violations,
-            useless_searches: r.lsq.useless_searches,
-            load_load_violations: r.lsq.load_load_violations,
-            violation_squashes: r.violation_squashes,
-            instructions_squashed: r.instructions_squashed,
-            sq_port_stalls: r.lsq.sq_port_stalls,
-            lq_port_stalls: r.lsq.lq_port_stalls,
-            commit_port_delays: r.lsq.commit_port_delays,
-            capped: r.hit_cycle_cap,
-            profile: r.profile.clone(),
-            cpi_stack: r.cpi_stack.clone(),
-            stage_latency: r.stage_latency.clone(),
-        }
-    }
-
     fn to_json(&self) -> Json {
-        let j = &self.job;
+        let (j, r) = (&self.job, &self.result);
         Json::obj(vec![
             ("bench", Json::from(j.bench)),
             ("scaled", j.scaled.into()),
@@ -159,50 +107,39 @@ impl JobRecord {
             ("load_order", format!("{:?}", j.lsq.load_order).into()),
             (
                 "segmentation",
-                match j.lsq.segmentation {
-                    Some(seg) => format!("{seg:?}").into(),
-                    None => Json::Null,
-                },
+                j.lsq
+                    .segmentation
+                    .map_or(Json::Null, |seg| format!("{seg:?}").into()),
             ),
             ("cached", self.cached.into()),
-            ("wall_nanos", self.wall_nanos.into()),
-            ("cycles", self.cycles.into()),
-            ("committed", self.committed.into()),
-            ("ipc", self.ipc.into()),
-            ("sim_mips", self.sim_mips.into()),
-            ("violations", self.violations.into()),
-            ("commit_violations", self.commit_violations.into()),
-            ("useless_searches", self.useless_searches.into()),
-            ("load_load_violations", self.load_load_violations.into()),
-            ("violation_squashes", self.violation_squashes.into()),
-            ("instructions_squashed", self.instructions_squashed.into()),
-            ("sq_port_stalls", self.sq_port_stalls.into()),
-            ("lq_port_stalls", self.lq_port_stalls.into()),
-            ("commit_port_delays", self.commit_port_delays.into()),
-            ("capped", self.capped.into()),
-            (
-                "profile",
-                match &self.profile {
-                    Some(p) => p.to_json(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "cpi_stack",
-                match &self.cpi_stack {
-                    Some(s) => s.to_json(),
-                    None => Json::Null,
-                },
-            ),
+            ("wall_nanos", r.wall_nanos.into()),
+            ("cycles", r.cycles.into()),
+            ("committed", r.committed.into()),
+            ("ipc", r.ipc().into()),
+            ("sim_mips", r.sim_mips.into()),
+            ("violations", r.lsq.violations.into()),
+            ("commit_violations", r.lsq.commit_violations.into()),
+            ("useless_searches", r.lsq.useless_searches.into()),
+            ("load_load_violations", r.lsq.load_load_violations.into()),
+            ("violation_squashes", r.violation_squashes.into()),
+            ("instructions_squashed", r.instructions_squashed.into()),
+            ("sq_port_stalls", r.lsq.sq_port_stalls.into()),
+            ("lq_port_stalls", r.lsq.lq_port_stalls.into()),
+            ("commit_port_delays", r.lsq.commit_port_delays.into()),
+            ("capped", r.hit_cycle_cap.into()),
+            ("profile", opt_json(&r.profile, PhaseProfile::to_json)),
+            ("cpi_stack", opt_json(&r.cpi_stack, CpiStack::to_json)),
             (
                 "stage_latency",
-                match &self.stage_latency {
-                    Some(s) => s.to_json(),
-                    None => Json::Null,
-                },
+                opt_json(&r.stage_latency, StageLatency::to_json),
             ),
         ])
     }
+}
+
+/// `value` as JSON, `null` when absent.
+pub(crate) fn opt_json<T>(value: &Option<T>, to_json: impl Fn(&T) -> Json) -> Json {
+    value.as_ref().map_or(Json::Null, to_json)
 }
 
 /// The experiment engine. One global instance (see [`global`]) is shared
@@ -210,22 +147,41 @@ impl JobRecord {
 /// most once per run; tests may build private instances.
 #[derive(Default)]
 pub struct Engine {
+    options: RunOptions,
     cache: Mutex<HashMap<JobKey, SimResult>>,
     records: Mutex<Vec<JobRecord>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// The process-wide engine used by the `runner` entry points.
+static GLOBAL: OnceLock<Engine> = OnceLock::new();
+
+/// The process-wide engine used by the `runner` entry points: the one
+/// [`configure`]d by the binary's `main`, else one with default options.
 pub fn global() -> &'static Engine {
-    static ENGINE: OnceLock<Engine> = OnceLock::new();
-    ENGINE.get_or_init(Engine::default)
+    GLOBAL.get_or_init(Engine::new)
+}
+
+/// Builds the process-wide engine with `options`. Call once, from
+/// `main`, before the first run; returns `false` and changes nothing
+/// when the engine already exists.
+pub fn configure(options: RunOptions) -> bool {
+    GLOBAL.set(Engine::with_options(options)).is_ok()
 }
 
 impl Engine {
-    /// Creates an empty engine (private cache; used by tests).
+    /// Creates an empty engine with default options (private cache;
+    /// used by tests).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty engine with `options`.
+    pub fn with_options(options: RunOptions) -> Self {
+        Self {
+            options,
+            ..Self::default()
+        }
     }
 
     /// `(cache hits, unique simulations)` served so far.
@@ -243,16 +199,31 @@ impl Engine {
     /// Jobs whose key is already cached (from this or an earlier batch)
     /// are served from the cache; duplicates within the batch are
     /// simulated once. Fresh jobs run on [`worker_count`] work-stealing
-    /// workers.
+    /// workers and carry the engine's observers.
     pub fn run_batch(&self, jobs: &[Job]) -> Vec<SimResult> {
         self.run_batch_with_workers(jobs, None)
     }
 
     /// [`Engine::run_batch`] with an explicit worker count, bypassing
-    /// `LSQ_JOBS` / `available_parallelism` (determinism tests).
+    /// the configured `jobs` / `available_parallelism` (determinism
+    /// tests).
     pub fn run_batch_with_workers(&self, jobs: &[Job], workers: Option<usize>) -> Vec<SimResult> {
-        telemetry::global().maybe_serve_from_env();
-        let keys: Vec<JobKey> = jobs.iter().map(Job::key).collect();
+        self.run(jobs, workers, &Observers::default())
+    }
+
+    /// [`Engine::run_batch`] with `observers` attached to every job on
+    /// top of the engine's own. Results are cached per observer set, so
+    /// an accounted batch never receives a plain cached result.
+    pub fn run_batch_observed(&self, jobs: &[Job], observers: &Observers) -> Vec<SimResult> {
+        self.run(jobs, None, observers)
+    }
+
+    fn run(&self, jobs: &[Job], workers: Option<usize>, observers: &Observers) -> Vec<SimResult> {
+        if let Some(addr) = &self.options.metrics_addr {
+            telemetry::global().serve_once(addr);
+        }
+        let observers = self.options.observers.union(observers);
+        let keys: Vec<JobKey> = jobs.iter().map(|j| j.key(&observers)).collect();
 
         // Unique uncached keys, in first-appearance order (deterministic).
         let mut pending: Vec<(JobKey, Job)> = Vec::new();
@@ -265,10 +236,10 @@ impl Engine {
             }
         }
 
-        let workers = workers.unwrap_or_else(|| worker_count(pending.len()));
-        let fresh = self.run_pending(&pending, workers);
+        let workers = workers.unwrap_or_else(|| worker_count(self.options.jobs, pending.len()));
+        let fresh = self.run_pending(&pending, workers, &observers);
 
-        // Batch-level self-profile aggregate (LSQ_PROFILE=1): merged
+        // Batch-level self-profile aggregate (profiled jobs): merged
         // over fresh jobs and printed once; cache hits re-serve the
         // profile stored with their original run.
         let mut batch_profile: Option<PhaseProfile> = None;
@@ -288,7 +259,7 @@ impl Engine {
             );
         }
 
-        // Batch-level CPI-stack aggregate (LSQ_ACCOUNTING=1): merged
+        // Batch-level CPI-stack aggregate (accounted jobs): merged
         // over fresh jobs and printed once.
         let mut batch_stack: Option<CpiStack> = None;
         let mut batch_committed = 0u64;
@@ -340,7 +311,11 @@ impl Engine {
         {
             let mut records = self.records.lock_unpoisoned();
             for ((job, &cached), result) in jobs.iter().zip(&cached_flags).zip(&results) {
-                records.push(JobRecord::from_result(*job, cached, result));
+                records.push(JobRecord {
+                    job: *job,
+                    cached,
+                    result: result.clone(),
+                });
             }
         }
         // Capped runs report truncated counters: say so loudly at batch
@@ -355,92 +330,60 @@ impl Engine {
         if let Some(warning) = capped_warning(&capped_labels) {
             eprintln!("{warning}");
         }
-        if let Some(path) = lsq_util::knobs::get("LSQ_EXPERIMENTS_JSON") {
-            self.dump_json(&path);
+        if let Some(path) = &self.options.experiments_json {
+            self.dump_json(path);
         }
         results
     }
 
     /// Runs the uncached jobs on `workers` work-stealing threads.
-    ///
-    /// Each worker owns a deque seeded round-robin; it pops its own work
-    /// from the front and, when empty, steals from the back of a
-    /// neighbour's. No new work appears mid-run, so a worker exits once
-    /// every deque is empty.
-    fn run_pending(&self, pending: &[(JobKey, Job)], workers: usize) -> Vec<SimResult> {
+    fn run_pending(
+        &self,
+        pending: &[(JobKey, Job)],
+        workers: usize,
+        observers: &Observers,
+    ) -> Vec<SimResult> {
         let total = pending.len();
         if total == 0 {
             return Vec::new();
         }
         let workers = workers.clamp(1, total);
-        let deques: Vec<Mutex<VecDeque<usize>>> =
-            (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-        for (i, _) in pending.iter().enumerate() {
-            deques[i % workers].lock_unpoisoned().push_back(i);
-        }
-        let results: Vec<Mutex<Option<SimResult>>> = (0..total).map(|_| Mutex::new(None)).collect();
         let done = AtomicUsize::new(0);
         let started = Instant::now();
-        let progress = progress_enabled();
+        let progress = self
+            .options
+            .progress
+            .unwrap_or_else(|| std::io::stderr().is_terminal());
         let tel = telemetry::global();
         tel.batch_started(total, workers);
-
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let deques = &deques;
-                let results = &results;
-                let done = &done;
-                scope.spawn(move || loop {
-                    let mut stolen = false;
-                    let mut claimed = deques[w].lock_unpoisoned().pop_front();
-                    if claimed.is_none() {
-                        for (o, other) in deques.iter().enumerate() {
-                            claimed = other.lock_unpoisoned().pop_back();
-                            if claimed.is_some() {
-                                stolen = o != w;
-                                break;
-                            }
-                        }
-                    }
-                    let Some(idx) = claimed else { break };
-                    let job = pending[idx].1;
-                    tel.job_claimed(w, job_label(&job), stolen);
-                    let t0 = Instant::now();
-                    let mut r = crate::runner::run_design_point_uncached(
-                        job.bench, job.lsq, job.scaled, job.spec,
-                    );
-                    let wall = t0.elapsed();
-                    r.wall_nanos = wall.as_nanos() as u64;
-                    let simulated = (job.spec.warmup + r.committed) as f64;
-                    r.sim_mips = simulated / wall.as_secs_f64().max(1e-12) / 1e6;
-                    tel.job_finished(w, &r, job.spec.warmup);
-                    *results[idx].lock_unpoisoned() = Some(r);
-                    // lsq-lint: allow(relaxed-ordering-audit, reason = "progress tally; result hand-off is ordered by the per-slot mutex")
-                    let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                    if progress {
-                        report_progress(n, total, started);
-                    }
-                });
+        let results = steal(workers, total, |w, idx, stolen| {
+            let job = pending[idx].1;
+            tel.job_claimed(w, job_label(&job), stolen);
+            let t0 = Instant::now();
+            let mut r = crate::runner::run_job(&job, observers);
+            let wall = t0.elapsed();
+            r.wall_nanos = wall.as_nanos() as u64;
+            let simulated = (job.spec.warmup + r.committed) as f64;
+            r.sim_mips = simulated / wall.as_secs_f64().max(1e-12) / 1e6;
+            tel.job_finished(w, &r, job.spec.warmup);
+            // lsq-lint: allow(relaxed-ordering-audit, reason = "progress tally; result hand-off is ordered by the per-slot mutex")
+            let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if progress {
+                report_progress(n, total, started);
             }
+            r
         });
         if progress {
             eprintln!();
         }
         results
-            .into_iter()
-            .map(|slot| {
-                let r = slot.into_inner().unwrap_or_else(PoisonError::into_inner);
-                // lsq-lint: allow(no-unwrap-in-lib, reason = "thread::scope joined every worker (propagating any panic), so each slot is filled")
-                r.expect("every job runs")
-            })
-            .collect()
     }
 
     /// Writes every job recorded so far as a JSON array to `path`
     /// (one record object per line for greppability). Failures are
     /// reported on stderr, not fatal — a bad dump path must not kill an
     /// hour of simulation.
-    fn dump_json(&self, path: &str) {
+    fn dump_json(&self, path: &Path) {
         let records = self.records.lock_unpoisoned();
         let mut out = String::from("[\n");
         for (i, r) in records.iter().enumerate() {
@@ -450,55 +393,73 @@ impl Engine {
         }
         out.push_str("]\n");
         if let Err(e) = std::fs::write(path, out) {
-            eprintln!("warning: could not write LSQ_EXPERIMENTS_JSON={path}: {e}");
+            eprintln!(
+                "warning: could not write LSQ_EXPERIMENTS_JSON={}: {e}",
+                path.display()
+            );
         }
+    }
+
+    /// Runs arbitrary closures on the engine's work-stealing scheduler,
+    /// returning their results in input order. Sized like
+    /// [`Engine::run_batch`] but bypasses the result cache (the tasks are
+    /// opaque). Used by workloads that are not design-point runs, e.g. the
+    /// `calibrate` seed scan.
+    pub fn run_tasks<T, F>(&self, tasks: Vec<F>) -> Vec<T>
+    where
+        T: Send,
+        F: FnOnce() -> T + Send,
+    {
+        let total = tasks.len();
+        let slots: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|f| Mutex::new(Some(f))).collect();
+        steal(
+            worker_count(self.options.jobs, total),
+            total,
+            |_, idx, _| {
+                let task = slots[idx].lock_unpoisoned().take();
+                // lsq-lint: allow(no-unwrap-in-lib, reason = "each index is enqueued exactly once, so the claimed slot still holds its closure")
+                task.expect("task claimed once")()
+            },
+        )
     }
 }
 
-/// Runs arbitrary closures on the engine's work-stealing scheduler,
-/// returning their results in input order. Honors `LSQ_JOBS` like
-/// [`Engine::run_batch`] but bypasses the result cache (the tasks are
-/// opaque). Used by workloads that are not design-point runs, e.g. the
-/// `calibrate` seed scan.
-pub fn run_tasks<T, F>(tasks: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    let total = tasks.len();
-    if total == 0 {
-        return Vec::new();
-    }
-    let workers = worker_count(total);
-    let slots: Vec<Mutex<Option<F>>> = tasks.into_iter().map(|f| Mutex::new(Some(f))).collect();
-    let results: Vec<Mutex<Option<T>>> = (0..total).map(|_| Mutex::new(None)).collect();
+/// Runs `work(worker, index, stolen)` for every index in `0..total` on
+/// `workers` work-stealing threads and returns the results in index
+/// order.
+///
+/// Each worker owns a deque seeded round-robin; it pops its own work
+/// from the front and, when empty, steals from the back of a
+/// neighbour's. No new work appears mid-run, so a worker exits once
+/// every deque is empty.
+fn steal<T: Send>(
+    workers: usize,
+    total: usize,
+    work: impl Fn(usize, usize, bool) -> T + Sync,
+) -> Vec<T> {
     let deques: Vec<Mutex<VecDeque<usize>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
     for i in 0..total {
         deques[i % workers].lock_unpoisoned().push_back(i);
     }
+    let results: Vec<Mutex<Option<T>>> = (0..total).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let results = &results;
+        for w in 0..workers.min(total) {
+            let (deques, results, work) = (&deques, &results, &work);
             scope.spawn(move || loop {
+                let mut stolen = false;
                 let mut claimed = deques[w].lock_unpoisoned().pop_front();
                 if claimed.is_none() {
-                    for other in deques.iter() {
+                    for (o, other) in deques.iter().enumerate() {
                         claimed = other.lock_unpoisoned().pop_back();
                         if claimed.is_some() {
+                            stolen = o != w;
                             break;
                         }
                     }
                 }
                 let Some(idx) = claimed else { break };
-                let task = slots[idx]
-                    .lock_unpoisoned()
-                    .take()
-                    // lsq-lint: allow(no-unwrap-in-lib, reason = "each index is enqueued exactly once, so the claimed slot still holds its closure")
-                    .expect("task claimed once");
-                *results[idx].lock_unpoisoned() = Some(task());
+                *results[idx].lock_unpoisoned() = Some(work(w, idx, stolen));
             });
         }
     });
@@ -512,25 +473,13 @@ where
         .collect()
 }
 
-/// Number of worker threads for `jobs` queued jobs: `LSQ_JOBS` when set
-/// to a positive integer, else `std::thread::available_parallelism()`;
-/// always within `1..=max(jobs, 1)`.
-pub fn worker_count(jobs: usize) -> usize {
-    let parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    worker_count_from(
-        lsq_util::knobs::get("LSQ_JOBS").as_deref(),
-        parallelism,
-        jobs,
-    )
-}
-
-/// Pure core of [`worker_count`], separated for testing.
-fn worker_count_from(env: Option<&str>, parallelism: usize, jobs: usize) -> usize {
-    env.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(parallelism)
+/// Number of worker threads for `jobs` queued jobs: `requested` (the
+/// `LSQ_JOBS` option) when set, else
+/// `std::thread::available_parallelism()`; always within
+/// `1..=max(jobs, 1)`.
+pub fn worker_count(requested: Option<usize>, jobs: usize) -> usize {
+    requested
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         .clamp(1, jobs.max(1))
 }
 
@@ -567,14 +516,6 @@ fn job_label(job: &Job) -> String {
         },
         if job.scaled { " scaled" } else { "" },
     )
-}
-
-fn progress_enabled() -> bool {
-    match lsq_util::knobs::get("LSQ_PROGRESS").as_deref() {
-        Some("0") => false,
-        Some(_) => true,
-        None => std::io::stderr().is_terminal(),
-    }
 }
 
 fn report_progress(done: usize, total: usize, started: Instant) {
@@ -622,16 +563,15 @@ mod tests {
 
     #[test]
     fn worker_count_bounds() {
-        // LSQ_JOBS wins when positive.
-        assert_eq!(worker_count_from(Some("3"), 8, 100), 3);
-        // Garbage and zero fall back to parallelism.
-        assert_eq!(worker_count_from(Some("oops"), 4, 100), 4);
-        assert_eq!(worker_count_from(Some("0"), 4, 100), 4);
-        assert_eq!(worker_count_from(None, 4, 100), 4);
+        // A requested count wins.
+        assert_eq!(worker_count(Some(3), 100), 3);
+        // Unset falls back to the host's parallelism.
+        let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(worker_count(None, 100), parallelism.min(100));
         // Never more workers than jobs, never fewer than one.
-        assert_eq!(worker_count_from(Some("64"), 8, 5), 5);
-        assert_eq!(worker_count_from(None, 8, 0), 1);
-        assert_eq!(worker_count_from(None, 1, 0), 1);
+        assert_eq!(worker_count(Some(64), 5), 5);
+        assert_eq!(worker_count(None, 0), 1);
+        assert_eq!(worker_count(Some(1), 0), 1);
     }
 
     #[test]
@@ -697,9 +637,13 @@ mod tests {
     #[test]
     fn run_tasks_preserves_order() {
         let tasks: Vec<_> = (0..17).map(|i| move || i * 3).collect();
-        assert_eq!(run_tasks(tasks), (0..17).map(|i| i * 3).collect::<Vec<_>>());
+        let engine = Engine::new();
+        assert_eq!(
+            engine.run_tasks(tasks),
+            (0..17).map(|i| i * 3).collect::<Vec<_>>()
+        );
         let empty: Vec<fn() -> i32> = Vec::new();
-        assert_eq!(run_tasks(empty), Vec::<i32>::new());
+        assert_eq!(engine.run_tasks(empty), Vec::<i32>::new());
     }
 
     #[test]
@@ -707,7 +651,7 @@ mod tests {
         let engine = Engine::new();
         let _ = engine.run_batch_with_workers(&[job("gzip"), job("gzip")], Some(1));
         let path = std::env::temp_dir().join("lsq_engine_dump_test.json");
-        engine.dump_json(path.to_str().unwrap());
+        engine.dump_json(&path);
         let text = std::fs::read_to_string(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         let parsed = Json::parse(&text).expect("dump is valid JSON");

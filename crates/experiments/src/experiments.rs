@@ -6,7 +6,7 @@
 //! side. The experiment binaries print artifacts; the integration tests
 //! re-run them with tiny instruction budgets and assert the shapes.
 
-use crate::runner::{int_fp_means, run_matrix, RunSpec};
+use crate::runner::{int_fp_means, run_matrix, run_matrix_observed, Observers, RunSpec};
 use lsq_core::{LoadOrderPolicy, LsqConfig, PredictorKind, SegAlloc};
 use lsq_obs::NopTracer;
 use lsq_pipeline::{
@@ -708,20 +708,22 @@ pub fn supplementary_ssit_pressure(spec: RunSpec) -> Artifact {
 // CPI stacks — cycle accounting across the paper's techniques
 // ----------------------------------------------------------------------
 
-/// Runs `f` with `LSQ_ACCOUNTING=1`, restoring the variable's prior
-/// state afterwards, so every *fresh* job started inside `f` carries a
-/// CPI stack. (The engine's result cache has no accounting dimension;
-/// an artifact run starts with a cold cache, so all its jobs are fresh.)
-fn with_accounting<R>(f: impl FnOnce() -> R) -> R {
-    let prior = lsq_util::knobs::get_os("LSQ_ACCOUNTING");
-    std::env::set_var("LSQ_ACCOUNTING", "1");
-    let out = f();
-    match prior {
-        Some(v) => std::env::set_var("LSQ_ACCOUNTING", v),
-        None => std::env::remove_var("LSQ_ACCOUNTING"),
-    }
-    out
+/// The 2-ported baseline and the paper's three techniques, as compared
+/// by the CPI-stack and critical-path artifacts.
+fn technique_configs() -> [LsqConfig; 4] {
+    [
+        LsqConfig::default(),
+        LsqConfig {
+            predictor: PredictorKind::Pair,
+            ..LsqConfig::default()
+        },
+        LsqConfig::with_techniques(1),
+        LsqConfig::segmented(SegAlloc::SelfCircular),
+    ]
 }
+
+/// Short labels of [`technique_configs`], in order.
+const TECHNIQUE_DESIGNS: [&str; 4] = ["conv2", "pair", "lb1", "seg"];
 
 /// The CPI-stack table's column groups: a label and the accounting
 /// components (by [`lsq_pipeline::Component::name`]) folded into it.
@@ -744,26 +746,20 @@ const CPI_GROUPS: &[(&str, &[&str])] = &[
 /// one component, so each row's group columns sum to its `cpi` — the
 /// stack is a partition of simulated time, not a sample.
 pub fn cpi_stack(spec: RunSpec) -> Artifact {
-    let cfgs = [
-        LsqConfig::default(),
-        LsqConfig {
-            predictor: PredictorKind::Pair,
-            ..LsqConfig::default()
-        },
-        LsqConfig::with_techniques(1),
-        LsqConfig::segmented(SegAlloc::SelfCircular),
-    ];
-    let designs = ["conv2", "pair", "lb1", "seg"];
-    let rows = with_accounting(|| run_matrix(&cfgs, false, spec));
+    let accounted = Observers {
+        accounting: true,
+        ..Observers::default()
+    };
+    let rows = run_matrix_observed(&technique_configs(), false, spec, &accounted);
     let mut header = vec!["bench", "design", "cpi"];
     header.extend(CPI_GROUPS.iter().map(|(label, _)| *label));
     let mut t = Table::new(header);
     for (name, r) in &rows {
-        for (design, res) in designs.iter().zip(r) {
+        for (design, res) in TECHNIQUE_DESIGNS.iter().zip(r) {
             let stack = res
                 .cpi_stack
                 .as_ref()
-                // lsq-lint: allow(no-unwrap-in-lib, reason = "the matrix above ran with accounting enabled, so every record carries a CPI stack")
+                // lsq-lint: allow(no-unwrap-in-lib, reason = "the matrix above asked the engine for accounted runs, which are cached apart from plain ones, so every result carries a CPI stack")
                 .expect("accounting was enabled for this matrix");
             let denom = (stack.commit_width * res.committed.max(1)) as f64;
             let mut row = vec![
@@ -844,31 +840,24 @@ fn critical_path_for(bench: &str, lsq: LsqConfig, spec: RunSpec) -> Option<Criti
 /// columns of a row sum to 100% of `cycles` — the per-instruction
 /// analogue of the CPI stack's partition invariant.
 pub fn critical_path(spec: RunSpec) -> Artifact {
-    let cfgs = [
-        LsqConfig::default(),
-        LsqConfig {
-            predictor: PredictorKind::Pair,
-            ..LsqConfig::default()
-        },
-        LsqConfig::with_techniques(1),
-        LsqConfig::segmented(SegAlloc::SelfCircular),
-    ];
-    let designs = ["conv2", "pair", "lb1", "seg"];
+    let cfgs = technique_configs();
     let benches: Vec<&'static str> = BenchProfile::all().iter().map(|p| p.name).collect();
     // In-process recorded runs (the engine's cache has no lifecycle
     // dimension), fanned out on the work-stealing pool.
     let tasks: Vec<_> = benches
         .iter()
         .flat_map(|&bench| {
-            cfgs.iter().zip(designs).map(move |(&lsq, design)| {
-                move || (bench, design, critical_path_for(bench, lsq, spec))
-            })
+            cfgs.iter()
+                .zip(TECHNIQUE_DESIGNS)
+                .map(move |(&lsq, design)| {
+                    move || (bench, design, critical_path_for(bench, lsq, spec))
+                })
         })
         .collect();
     let mut header = vec!["bench", "design", "cycles", "instrs"];
     header.extend(CP_COMPONENTS);
     let mut t = Table::new(header);
-    for (bench, design, cp) in crate::engine::run_tasks(tasks) {
+    for (bench, design, cp) in crate::engine::global().run_tasks(tasks) {
         let Some(cp) = cp else { continue };
         assert_eq!(
             cp.total(),
@@ -958,14 +947,14 @@ pub fn by_name(name: &str, spec: RunSpec) -> Option<Artifact> {
     })
 }
 
-/// Runs every paper artifact in paper order. `cpi_stack` is excluded:
-/// it flips `LSQ_ACCOUNTING` for its matrix, and the engine's result
-/// cache (shared across artifacts in one process, keyed without an
-/// accounting dimension) would leak stacks into — or hide them from —
-/// the other artifacts' runs. `critical_path` is excluded for the same
-/// shape of reason: its runs bypass the cache entirely (lifecycle
-/// records don't travel through cached [`SimResult`]s), so batching it
-/// here would only pad `all()`'s runtime. Request both by name.
+/// Runs every paper artifact in paper order: Tables 1–6, Figures 6–12
+/// and the supplementary predictor-pressure study. The two observer
+/// artifacts are requested by name instead. `cpi_stack` could join
+/// safely — its accounted runs are cached apart from the plain runs of
+/// the same design points — but it would add 72 fresh accounted jobs to
+/// every `all` run. `critical_path`'s lifecycle-recorded runs bypass the
+/// cache entirely (the records don't travel through cached
+/// [`SimResult`]s), so batching it here would only pad the runtime.
 pub fn all(spec: RunSpec) -> Vec<Artifact> {
     let predictor_rows = predictor_matrix(spec);
     vec![

@@ -12,13 +12,16 @@
 //! --bin artifact -- fig10` (see [`experiments::ARTIFACT_NAMES`] for the
 //! menu), or everything with `--bin all`. The instruction budget per run
 //! is controlled by the `LSQ_INSTRS` environment variable (default
-//! 200,000 after a 40,000-instruction warm-up).
+//! 250,000 after a 100,000-instruction warm-up).
+//!
+//! Each binary parses every `LSQ_*` knob once, in `main`, into a typed
+//! [`RunOptions`] (see [`options`] for the knob list); a malformed or
+//! unknown knob exits 2. Library code never reads the environment.
 //!
 //! All runs flow through the shared [`engine`]: a work-stealing pool
 //! (`LSQ_JOBS` workers) with a result cache, so design points shared
 //! between artifacts — the base and two-ported configurations appear in
-//! most of Figures 6–12 — are simulated exactly once per process. See
-//! the [`engine`] docs for `LSQ_PROGRESS` and `LSQ_EXPERIMENTS_JSON`.
+//! most of Figures 6–12 — are simulated exactly once per process.
 //!
 //! Any run can be traced through the [`lsq_obs`] event ring and windowed
 //! sampler: set `LSQ_TRACE=<path>[:events|:chrome|:timeline]` (and
@@ -39,9 +42,11 @@
 pub mod benchdiff;
 pub mod engine;
 pub mod experiments;
+pub mod options;
 pub mod runner;
 pub mod telemetry;
 
 pub use engine::{worker_count, Engine, Job};
 pub use experiments::{all, by_name, Artifact, ARTIFACT_NAMES};
-pub use runner::{run_design_point, run_traced, RunSpec};
+pub use options::RunOptions;
+pub use runner::{run_design_point, run_traced, Observers, RunSpec};

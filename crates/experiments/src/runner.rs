@@ -2,22 +2,27 @@
 //!
 //! All entry points route through the [`crate::engine`]: design points
 //! are simulated once per process and repeats are served from its result
-//! cache, and batches run on a work-stealing pool sized by
-//! `LSQ_JOBS` / `available_parallelism` (see the engine docs for the
-//! observability knobs).
+//! cache, and batches run on a work-stealing pool (see
+//! [`crate::options::RunOptions`] for the knobs that size it and attach
+//! observers).
+//!
+//! Every simulation goes through one generic `simulate`, instantiated
+//! twice: with the zero-cost `Nop*` observers for plain runs, and with
+//! `Option<_>` observers for runs carrying any mix of the event tracer,
+//! the self-profiler, the cycle accountant and the lifecycle recorder.
 
 use crate::engine::{self, Job};
 use lsq_core::LsqConfig;
 use lsq_obs::{
-    CpiStackSampler, NopTracer, PipeRecord, PipeviewConfig, Sampler, SharedTracer, TraceBuffer,
+    job_path, NopTracer, PipeRecord, PipeviewConfig, Sampler, SharedTracer, TraceBuffer,
     TraceConfig, Tracer,
 };
 use lsq_pipeline::{
     CycleAccountant, Lifecycle, NopAccountant, NopLifecycle, NopProfiler, PipeviewRecorder,
-    Profiler, SimConfig, SimResult, Simulator, SlotAccountant, WallProfiler,
+    Profiler, SimResult, Simulator, SlotAccountant, WallProfiler,
 };
 use lsq_trace::BenchProfile;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Instruction budget for one run.
@@ -33,20 +38,88 @@ pub struct RunSpec {
     pub seed: u64,
 }
 
+impl RunSpec {
+    /// The experiments' budget: 250 000 measured instructions after a
+    /// 100 000-instruction warm-up, workload seed 1. `LSQ_INSTRS`
+    /// overrides `instrs` through [`crate::options::RunOptions::spec`].
+    pub const DEFAULT: RunSpec = RunSpec {
+        warmup: 100_000,
+        instrs: 250_000,
+        seed: 1,
+    };
+}
+
 impl Default for RunSpec {
     fn default() -> Self {
-        Self {
-            warmup: 100_000,
-            instrs: default_instrs(),
-            seed: 1,
+        Self::DEFAULT
+    }
+}
+
+/// The observers attached to a simulation. The default attaches none,
+/// which runs the zero-cost unobserved simulator.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Observers {
+    /// Event ring and windowed sampler:
+    /// `LSQ_TRACE=<path>[:events|:chrome|:timeline]`, with
+    /// `LSQ_SAMPLE_CYCLES` and `LSQ_TRACE_CAP` (see [`TraceConfig`]).
+    pub trace: Option<TraceConfig>,
+    /// `LSQ_PROFILE`: the per-phase wall-time self-profiler.
+    pub profile: bool,
+    /// `LSQ_ACCOUNTING`: the cycle accountant, for a CPI stack.
+    pub accounting: bool,
+    /// `LSQ_ACCOUNTING_CSV=<path>[:window]`: with `accounting`, also
+    /// write the windowed CPI stack as CSV (default window 10 000
+    /// cycles; a numeric suffix must be positive, any other is part of
+    /// the path).
+    pub accounting_csv: Option<(PathBuf, u64)>,
+    /// Lifecycle recorder and pipeline-viewer log:
+    /// `LSQ_PIPEVIEW=<path>[:konata|:o3]`, with `LSQ_PIPEVIEW_CAP`.
+    pub pipeview: Option<PipeviewConfig>,
+}
+
+impl Observers {
+    /// Which observers are attached: trace, profile, accounting,
+    /// pipeview. Results of runs with different sets differ, so the
+    /// engine's result cache keys on this.
+    pub(crate) fn set(&self) -> [bool; 4] {
+        [
+            self.trace.is_some(),
+            self.profile,
+            self.accounting,
+            self.pipeview.is_some(),
+        ]
+    }
+
+    /// Every observer of `self` and of `other`; where both configure
+    /// the same sink, `self`'s configuration wins.
+    pub(crate) fn union(&self, other: &Observers) -> Observers {
+        Observers {
+            trace: self.trace.clone().or_else(|| other.trace.clone()),
+            profile: self.profile || other.profile,
+            accounting: self.accounting || other.accounting,
+            accounting_csv: self
+                .accounting_csv
+                .clone()
+                .or_else(|| other.accounting_csv.clone()),
+            pipeview: self.pipeview.clone().or_else(|| other.pipeview.clone()),
         }
     }
 }
 
-fn default_instrs() -> u64 {
-    lsq_util::knobs::get("LSQ_INSTRS")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(250_000)
+/// The engine job for `bench`.
+///
+/// # Panics
+///
+/// Panics if `bench` is not one of the 18 profile names.
+fn job_for(bench: &str, lsq: LsqConfig, scaled: bool, spec: RunSpec) -> Job {
+    // lsq-lint: allow(no-unwrap-in-lib, reason = "documented # Panics contract: bench must be one of the 18 profile names")
+    let profile = BenchProfile::named(bench).unwrap_or_else(|| panic!("unknown benchmark {bench}"));
+    Job {
+        bench: profile.name,
+        lsq,
+        scaled,
+        spec,
+    }
 }
 
 /// Runs one `(benchmark, LSQ design point)` pair on the base (or scaled)
@@ -59,160 +132,108 @@ fn default_instrs() -> u64 {
 ///
 /// Panics if `bench` is not one of the 18 profile names.
 pub fn run_design_point(bench: &str, lsq: LsqConfig, scaled: bool, spec: RunSpec) -> SimResult {
-    // lsq-lint: allow(no-unwrap-in-lib, reason = "documented # Panics contract: bench must be one of the 18 profile names")
-    let profile = BenchProfile::named(bench).unwrap_or_else(|| panic!("unknown benchmark {bench}"));
     engine::global()
-        .run_batch(&[Job {
-            bench: profile.name,
-            lsq,
-            scaled,
-            spec,
-        }])
+        .run_batch(&[job_for(bench, lsq, scaled, spec)])
         .pop()
         // lsq-lint: allow(no-unwrap-in-lib, reason = "run_batch returns exactly one result per submitted job")
         .expect("one job, one result")
 }
 
-/// Whether `LSQ_PROFILE` asks for the simulator self-profiler: any
-/// non-empty value except `0` enables it (see [`lsq_pipeline::profile`]).
-pub fn profile_enabled() -> bool {
-    lsq_util::knobs::flag("LSQ_PROFILE")
-}
-
-/// Whether `LSQ_ACCOUNTING` asks for cycle accounting (CPI stacks):
-/// any non-empty value except `0` enables it (see
-/// [`lsq_pipeline::accounting`]).
-pub fn accounting_enabled() -> bool {
-    lsq_util::knobs::flag("LSQ_ACCOUNTING")
-}
-
-/// Default window width (cycles) for `LSQ_ACCOUNTING_CSV` rows.
-const DEFAULT_ACCOUNTING_WINDOW: u64 = 10_000;
-
-/// Parses `LSQ_ACCOUNTING_CSV=<path>[:window]`: the destination for
-/// windowed CPI-stack CSV rows and the window width in cycles
-/// (default 10 000). Implies nothing unless `LSQ_ACCOUNTING` is also
-/// set — the sampler hangs off the accountant.
-fn accounting_csv_from_env() -> Option<(PathBuf, u64)> {
-    let raw = lsq_util::knobs::get("LSQ_ACCOUNTING_CSV")?;
-    let raw = raw.trim();
-    if raw.is_empty() {
-        return None;
-    }
-    if let Some((path, window)) = raw.rsplit_once(':') {
-        if let Ok(w) = window.parse::<u64>() {
-            if w > 0 && !path.is_empty() {
-                return Some((PathBuf::from(path), w));
-            }
-        }
-    }
-    Some((PathBuf::from(raw), DEFAULT_ACCOUNTING_WINDOW))
-}
-
-/// Parallel jobs write to distinct paths: job 0 gets the configured
-/// path verbatim, later ones a `.N` suffix (same convention as
-/// [`TraceConfig::for_job`]).
-fn numbered_path(path: &Path, n: u64) -> PathBuf {
-    if n == 0 {
-        path.to_path_buf()
-    } else {
-        PathBuf::from(format!("{}.{n}", path.display()))
-    }
-}
-
-/// The shared simulation core: warm up, snapshot, measure, difference —
-/// generic over the trace sink, the self-profiler, and the cycle
-/// accountant so every (traced?, profiled?, accounted?) combination
-/// monomorphizes to exactly the code it needs. The returned result
-/// carries the profiler's report (whole run, warm-up included — like
-/// `wall_nanos`, it is host-side timing and not windowed by the diff)
-/// and the warm-up-differenced CPI stack (a simulated quantity, so it
-/// *is* windowed by the diff).
-#[allow(clippy::type_complexity)]
-#[allow(clippy::too_many_arguments)]
-fn simulate_parts<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle>(
-    bench: &str,
-    lsq: LsqConfig,
-    scaled: bool,
-    spec: RunSpec,
+/// The one simulation core: warm up, snapshot, measure, difference.
+/// Generic over the four observers, so a plain run monomorphizes to the
+/// unobserved simulator. Returns the measured-window result and the
+/// simulator, still holding its observers for the caller to drain.
+///
+/// The profile covers the whole run (host timing, like `wall_nanos`);
+/// the CPI stack is windowed by the diff. A sampler (`sample_window`
+/// cycles) is attached before the warm-up, so its windows partition
+/// the *whole* run.
+fn simulate<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle>(
+    job: &Job,
     tracer: T,
     profiler: P,
     acct: A,
     life: L,
     sample_window: Option<u64>,
-) -> (
-    SimResult,
-    Option<Sampler>,
-    Option<CpiStackSampler>,
-    Option<(Vec<PipeRecord>, u64)>,
-) {
+) -> (SimResult, Simulator<T, P, A, L>) {
+    let bench = job.bench;
     // lsq-lint: allow(no-unwrap-in-lib, reason = "documented # Panics contract: bench must be one of the 18 profile names")
     let profile = BenchProfile::named(bench).unwrap_or_else(|| panic!("unknown benchmark {bench}"));
-    let cfg = if scaled {
-        SimConfig::scaled(lsq)
-    } else {
-        SimConfig::with_lsq(lsq)
-    };
-    let mut stream = profile.stream(spec.seed);
-    let mut sim = Simulator::with_lifecycle(cfg, tracer, profiler, acct, life);
+    let mut stream = profile.stream(job.spec.seed);
+    let mut sim = Simulator::with_lifecycle(job.sim_config(), tracer, profiler, acct, life);
     if let Some(window) = sample_window {
         sim.set_sampler(Sampler::new(window));
     }
     sim.prewarm(&stream.data_regions(), stream.code_region());
-    if spec.warmup > 0 {
-        let _ = sim.run(&mut stream, spec.warmup);
+    if job.spec.warmup > 0 {
+        let _ = sim.run(&mut stream, job.spec.warmup);
     }
     let before = sim.run(&mut stream, 0);
-    let after = sim.run(&mut stream, spec.instrs);
-    let result = diff_results(&before, &after);
-    let sampler = sim.take_sampler();
-    let cpi_sampler = sim.take_cpi_sampler();
-    let dropped = sim.pipeview_dropped();
-    let pipeview = sim.take_pipeview_records().map(|recs| (recs, dropped));
-    (result, sampler, cpi_sampler, pipeview)
+    let after = sim.run(&mut stream, job.spec.instrs);
+    (diff_results(&before, &after), sim)
 }
 
-/// [`simulate_with_lifecycle`] with the lifecycle recorder chosen by
-/// `LSQ_PIPEVIEW`: recorded runs carry a [`PipeviewRecorder`] and write
-/// the pipeline-viewer log on the way out; disabled runs use the
-/// zero-cost [`NopLifecycle`].
-fn simulate<T: Tracer + Clone, P: Profiler>(
+/// An observed run: the measured-phase result plus, when tracing, the
+/// captured event ring and the flushed windowed sampler.
+#[derive(Debug)]
+pub struct Observed {
+    /// The measured-phase result.
+    pub result: SimResult,
+    /// The event ring, when a trace was attached.
+    pub trace: Option<TraceBuffer>,
+    /// The windowed sampler, when the trace asked for one.
+    pub sampler: Option<Sampler>,
+}
+
+/// Runs one `(benchmark, LSQ design point)` pair, uncached, with
+/// `observers` attached. The CPI-stack CSV and the pipeline-viewer log
+/// are written here (parallel jobs get a `.N` suffix); the trace ring
+/// and sampler are returned for the caller to inspect or write.
+///
+/// # Panics
+///
+/// Panics if `bench` is not one of the 18 profile names.
+pub fn run_observed(
     bench: &str,
     lsq: LsqConfig,
     scaled: bool,
     spec: RunSpec,
-    tracer: T,
-    profiler: P,
-    sample_window: Option<u64>,
-) -> (SimResult, Option<Sampler>) {
-    let Some(pv) = PipeviewConfig::from_env() else {
-        let (result, sampler, _) = simulate_with_lifecycle(
-            bench,
-            lsq,
-            scaled,
-            spec,
-            tracer,
-            profiler,
-            NopLifecycle,
-            sample_window,
-        );
-        return (result, sampler);
-    };
-    // Parallel jobs write to distinct paths: job 0 gets the configured
-    // path verbatim, later ones a `.N` suffix.
+    observers: &Observers,
+) -> Observed {
+    let job = &job_for(bench, lsq, scaled, spec);
     static PIPEVIEW_JOBS: AtomicU64 = AtomicU64::new(0);
-    let pv = pv.for_job(PIPEVIEW_JOBS.fetch_add(1, Ordering::Relaxed));
-    let (result, sampler, pipeview) = simulate_with_lifecycle(
-        bench,
-        lsq,
-        scaled,
-        spec,
-        tracer,
-        profiler,
-        PipeviewRecorder::new(pv.capacity),
-        sample_window,
-    );
-    if let Some((records, dropped)) = pipeview {
+    static ACCT_CSV_JOBS: AtomicU64 = AtomicU64::new(0);
+    let trace = observers.trace.as_ref();
+    let tracer = trace.map(|t| SharedTracer::with_capacity(t.capacity));
+    let profiler = observers.profile.then(WallProfiler::new);
+    let acct = observers
+        .accounting
+        .then(|| match &observers.accounting_csv {
+            Some((_, window)) => SlotAccountant::with_sampler(*window),
+            None => SlotAccountant::new(),
+        });
+    let pipeview = observers
+        .pipeview
+        .as_ref()
+        .map(|pv| pv.for_job(PIPEVIEW_JOBS.fetch_add(1, Ordering::Relaxed)));
+    let life = pipeview
+        .as_ref()
+        .map(|pv| PipeviewRecorder::new(pv.capacity));
+    let window = trace.and_then(TraceConfig::effective_sample_cycles);
+    let (result, mut sim) = simulate(job, tracer.clone(), profiler, acct, life, window);
+
+    if let (Some((path, _)), Some(cpi)) = (&observers.accounting_csv, sim.take_cpi_sampler()) {
+        let path = job_path(path, ACCT_CSV_JOBS.fetch_add(1, Ordering::Relaxed));
+        match std::fs::write(&path, cpi.to_csv()) {
+            Ok(()) => eprintln!("cpi-stack csv: {bench} -> {}", path.display()),
+            Err(e) => eprintln!(
+                "warning: could not write LSQ_ACCOUNTING_CSV={}: {e}",
+                path.display()
+            ),
+        }
+    }
+    let dropped = sim.pipeview_dropped();
+    if let (Some(pv), Some(records)) = (&pipeview, sim.take_pipeview_records()) {
         warn_on_pipeview_drops(bench, &records, dropped, pv.capacity);
         match pv.write(&records) {
             Ok(path) => eprintln!("pipeview: {bench} -> {}", path.display()),
@@ -222,69 +243,54 @@ fn simulate<T: Tracer + Clone, P: Profiler>(
             ),
         }
     }
-    (result, sampler)
+    Observed {
+        result,
+        trace: tracer.map(|t| t.snapshot()),
+        sampler: sim.take_sampler(),
+    }
 }
 
-/// [`simulate_parts`] with the cycle accountant chosen by
-/// `LSQ_ACCOUNTING` / `LSQ_ACCOUNTING_CSV`: disabled runs use the
-/// zero-cost [`NopAccountant`]; accounted runs carry a
-/// [`SlotAccountant`] and, when a CSV path is configured, write the
-/// windowed per-component timeline on the way out. Returns the drained
-/// lifecycle records (and their drop count) alongside the result.
-#[allow(clippy::type_complexity)]
-#[allow(clippy::too_many_arguments)]
-fn simulate_with_lifecycle<T: Tracer + Clone, P: Profiler, L: Lifecycle>(
-    bench: &str,
-    lsq: LsqConfig,
-    scaled: bool,
-    spec: RunSpec,
-    tracer: T,
-    profiler: P,
-    life: L,
-    sample_window: Option<u64>,
-) -> (SimResult, Option<Sampler>, Option<(Vec<PipeRecord>, u64)>) {
-    if !accounting_enabled() {
-        let (result, sampler, _, pipeview) = simulate_parts(
-            bench,
-            lsq,
-            scaled,
-            spec,
-            tracer,
-            profiler,
+/// Runs `job` fresh with `observers` attached and writes the trace
+/// sink, if any — the engine's path for cache misses.
+pub(crate) fn run_job(job: &Job, observers: &Observers) -> SimResult {
+    if observers.set() == [false; 4] {
+        return simulate(
+            job,
+            NopTracer,
+            NopProfiler,
             NopAccountant,
-            life,
-            sample_window,
-        );
-        return (result, sampler, pipeview);
+            NopLifecycle,
+            None,
+        )
+        .0;
     }
-    let csv = accounting_csv_from_env();
-    let acct = match &csv {
-        Some((_, window)) => SlotAccountant::with_sampler(*window),
-        None => SlotAccountant::new(),
+    // Parallel jobs write to distinct paths: job 0 gets the configured
+    // path verbatim, later ones a `.N` suffix.
+    static TRACED_JOBS: AtomicU64 = AtomicU64::new(0);
+    let trace = observers
+        .trace
+        .as_ref()
+        .map(|t| t.for_job(TRACED_JOBS.fetch_add(1, Ordering::Relaxed)));
+    let observers = Observers {
+        trace: trace.clone(),
+        ..observers.clone()
     };
-    let (result, sampler, cpi_sampler, pipeview) = simulate_parts(
-        bench,
-        lsq,
-        scaled,
-        spec,
-        tracer,
-        profiler,
-        acct,
-        life,
-        sample_window,
-    );
-    if let (Some((path, _)), Some(cpi)) = (csv, cpi_sampler) {
-        static ACCT_CSV_JOBS: AtomicU64 = AtomicU64::new(0);
-        let path = numbered_path(&path, ACCT_CSV_JOBS.fetch_add(1, Ordering::Relaxed));
-        match std::fs::write(&path, cpi.to_csv()) {
-            Ok(()) => eprintln!("cpi-stack csv: {bench} -> {}", path.display()),
+    let run = run_observed(job.bench, job.lsq, job.scaled, job.spec, &observers);
+    if let (Some(trace), Some(buf)) = (&trace, &run.trace) {
+        warn_on_trace_drops(job.bench, buf);
+        match trace.write(buf, run.sampler.as_ref()) {
+            Ok(paths) => {
+                for p in paths {
+                    eprintln!("trace: {} -> {}", job.bench, p.display());
+                }
+            }
             Err(e) => eprintln!(
-                "warning: could not write LSQ_ACCOUNTING_CSV={}: {e}",
-                path.display()
+                "warning: could not write LSQ_TRACE={}: {e}",
+                trace.path.display()
             ),
         }
     }
-    (result, sampler, pipeview)
+    run.result
 }
 
 /// Surfaces pipeview-ring overflow at sink flush: a pipeline-viewer log
@@ -299,80 +305,6 @@ fn warn_on_pipeview_drops(bench: &str, records: &[PipeRecord], dropped: u64, cap
              currently {capacity})",
             records.len() as u64 + dropped,
         );
-    }
-}
-
-/// The uncached simulation underneath [`run_design_point`]: warm up,
-/// snapshot, measure, difference. Called by the engine for cache misses.
-/// Honours `LSQ_TRACE` (event ring + sampler) and `LSQ_PROFILE` (phase
-/// profiler) in any combination.
-///
-/// The warm-up phase runs on the same machine state; measured counters
-/// are obtained by differencing cumulative counters against the
-/// post-warm-up snapshot.
-pub(crate) fn run_design_point_uncached(
-    bench: &str,
-    lsq: LsqConfig,
-    scaled: bool,
-    spec: RunSpec,
-) -> SimResult {
-    let profiled = profile_enabled();
-    if let Some(trace) = TraceConfig::from_env() {
-        // Parallel jobs write to distinct paths: job 0 gets the
-        // configured path verbatim, later ones a `.N` suffix.
-        static TRACED_JOBS: AtomicU64 = AtomicU64::new(0);
-        let trace = trace.for_job(TRACED_JOBS.fetch_add(1, Ordering::Relaxed));
-        let tracer = SharedTracer::with_capacity(trace.capacity);
-        let window = trace.effective_sample_cycles();
-        let (result, sampler) = if profiled {
-            simulate(
-                bench,
-                lsq,
-                scaled,
-                spec,
-                tracer.clone(),
-                WallProfiler::new(),
-                window,
-            )
-        } else {
-            simulate(
-                bench,
-                lsq,
-                scaled,
-                spec,
-                tracer.clone(),
-                NopProfiler,
-                window,
-            )
-        };
-        let buf = tracer.snapshot();
-        warn_on_trace_drops(bench, &buf);
-        match trace.write(&buf, sampler.as_ref()) {
-            Ok(paths) => {
-                for p in paths {
-                    eprintln!("trace: {bench} -> {}", p.display());
-                }
-            }
-            Err(e) => eprintln!(
-                "warning: could not write LSQ_TRACE={}: {e}",
-                trace.path.display()
-            ),
-        }
-        return result;
-    }
-    if profiled {
-        simulate(
-            bench,
-            lsq,
-            scaled,
-            spec,
-            NopTracer,
-            WallProfiler::new(),
-            None,
-        )
-        .0
-    } else {
-        simulate(bench, lsq, scaled, spec, NopTracer, NopProfiler, None).0
     }
 }
 
@@ -393,15 +325,11 @@ fn warn_on_trace_drops(bench: &str, buf: &TraceBuffer) {
     }
 }
 
-/// [`run_design_point_uncached`] with tracing: the simulator carries a
-/// [`SharedTracer`] ring (and, when the config asks for one, a windowed
-/// [`Sampler`]) and the captured buffer and flushed sampler are returned
-/// alongside the measured-phase result.
-///
-/// The sampler is attached before the warm-up phase so its per-window
-/// deltas partition the *whole* run — summing `committed` over every
-/// window and dividing by the summed `cycles` reproduces the cumulative
-/// (undiffed) IPC exactly.
+/// A traced run, uncached: [`run_observed`] with only `trace` attached,
+/// returning the measured-phase result, the captured ring and the
+/// flushed sampler. The sampler covers warm-up and measurement, so
+/// summing `committed` over every window and dividing by the summed
+/// `cycles` reproduces the cumulative (undiffed) IPC exactly.
 ///
 /// # Panics
 ///
@@ -413,17 +341,12 @@ pub fn run_traced(
     spec: RunSpec,
     trace: &TraceConfig,
 ) -> (SimResult, TraceBuffer, Option<Sampler>) {
-    let tracer = SharedTracer::with_capacity(trace.capacity);
-    let (result, sampler) = simulate(
-        bench,
-        lsq,
-        scaled,
-        spec,
-        tracer.clone(),
-        NopProfiler,
-        trace.effective_sample_cycles(),
-    );
-    (result, tracer.snapshot(), sampler)
+    let observers = Observers {
+        trace: Some(trace.clone()),
+        ..Observers::default()
+    };
+    let run = run_observed(bench, lsq, scaled, spec, &observers);
+    (run.result, run.trace.unwrap_or_default(), run.sampler)
 }
 
 /// Subtracts the warm-up prefix from cumulative counters so the result
@@ -544,6 +467,17 @@ pub fn run_matrix(
     scaled: bool,
     spec: RunSpec,
 ) -> Vec<(&'static str, Vec<SimResult>)> {
+    run_matrix_observed(configs, scaled, spec, &Observers::default())
+}
+
+/// [`run_matrix`] with `observers` attached to every job, on top of the
+/// engine's own (see [`engine::Engine::run_batch_observed`]).
+pub fn run_matrix_observed(
+    configs: &[LsqConfig],
+    scaled: bool,
+    spec: RunSpec,
+    observers: &Observers,
+) -> Vec<(&'static str, Vec<SimResult>)> {
     let names: Vec<&'static str> = BenchProfile::all().iter().map(|p| p.name).collect();
     let jobs: Vec<Job> = names
         .iter()
@@ -556,7 +490,9 @@ pub fn run_matrix(
             })
         })
         .collect();
-    let mut results = engine::global().run_batch(&jobs).into_iter();
+    let mut results = engine::global()
+        .run_batch_observed(&jobs, observers)
+        .into_iter();
     names
         .iter()
         .map(|&name| (name, results.by_ref().take(configs.len()).collect()))

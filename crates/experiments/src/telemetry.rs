@@ -4,13 +4,14 @@
 //!
 //! Every [`crate::engine::Engine`] (the global one and private test
 //! instances) reports into the same registry, so the server — started
-//! lazily on the first batch after `LSQ_METRICS_ADDR` is set — always
-//! shows whole-process state: jobs queued/running/done, per-worker
+//! on the first batch of an engine whose options carry `LSQ_METRICS_ADDR`
+//! — always shows whole-process state: jobs queued/running/done, per-worker
 //! activity, cache hit rate, steal counts, aggregate sim-MIPS, trace
 //! ring drops, and (under `LSQ_PROFILE=1`) the merged simulator phase
 //! profile. Counter updates are relaxed atomics on job boundaries, so
 //! the cost is nil next to a simulation job.
 
+use crate::engine::opt_json;
 use lsq_obs::Json;
 use lsq_pipeline::{CpiStack, PhaseProfile, SimResult, StageLatency};
 use lsq_telemetry::{Counter, FloatGauge, Gauge, HistogramMetric, Metrics, MetricsServer};
@@ -151,36 +152,29 @@ impl EngineTelemetry {
         Arc::clone(&self.metrics)
     }
 
-    /// Starts the `LSQ_METRICS_ADDR` server the first time a batch runs
-    /// with the variable set; later calls (and unset/empty values) are
-    /// no-ops. Bind failures warn and disable retries rather than
-    /// killing an experiment run.
-    pub fn maybe_serve_from_env(&'static self) {
+    /// Starts the `LSQ_METRICS_ADDR` server on `addr` the first time it
+    /// is called; later calls are no-ops. Bind failures warn and disable
+    /// retries rather than killing an experiment run.
+    pub fn serve_once(&'static self, addr: &str) {
         static SERVER: OnceLock<Option<MetricsServer>> = OnceLock::new();
-        SERVER.get_or_init(|| {
-            let addr = lsq_util::knobs::get("LSQ_METRICS_ADDR")?;
-            if addr.trim().is_empty() {
-                return None;
+        SERVER.get_or_init(|| match self.serve(addr) {
+            Ok(server) => {
+                eprintln!(
+                    "telemetry: serving /metrics and /jobs on http://{}",
+                    server.addr()
+                );
+                Some(server)
             }
-            match self.serve(addr.trim()) {
-                Ok(server) => {
-                    eprintln!(
-                        "telemetry: serving /metrics and /jobs on http://{}",
-                        server.addr()
-                    );
-                    Some(server)
-                }
-                Err(e) => {
-                    eprintln!("warning: could not bind LSQ_METRICS_ADDR={addr}: {e}");
-                    None
-                }
+            Err(e) => {
+                eprintln!("warning: could not bind LSQ_METRICS_ADDR={addr}: {e}");
+                None
             }
         });
     }
 
     /// Binds `addr` and serves this hub's registry and job view.
     /// Exposed for tests (ephemeral ports); production goes through
-    /// [`EngineTelemetry::maybe_serve_from_env`].
+    /// [`EngineTelemetry::serve_once`].
     pub fn serve(&'static self, addr: &str) -> std::io::Result<MetricsServer> {
         MetricsServer::start(
             addr,
@@ -355,13 +349,7 @@ impl EngineTelemetry {
                 Json::obj(vec![
                     ("worker", Json::from(i)),
                     ("busy", v.busy.into()),
-                    (
-                        "current",
-                        match &v.current {
-                            Some(label) => Json::from(label.clone()),
-                            None => Json::Null,
-                        },
-                    ),
+                    ("current", opt_json(&v.current, |l| Json::from(l.clone()))),
                     ("done", v.done.into()),
                     ("steals", v.steals.into()),
                 ])
@@ -391,17 +379,11 @@ impl EngineTelemetry {
             ("workers", Json::Arr(workers)),
             (
                 "profile",
-                match self.aggregated_profile() {
-                    Some(p) => p.to_json(),
-                    None => Json::Null,
-                },
+                opt_json(&self.aggregated_profile(), PhaseProfile::to_json),
             ),
             (
                 "cpi_stack",
-                match self.aggregated_stack() {
-                    Some(s) => s.to_json(),
-                    None => Json::Null,
-                },
+                opt_json(&self.aggregated_stack(), CpiStack::to_json),
             ),
         ])
     }
@@ -473,7 +455,7 @@ mod tests {
                 }
             })
             .collect();
-        crate::engine::run_tasks(tasks);
+        crate::engine::Engine::new().run_tasks(tasks);
         assert_eq!(c.get(), c_before + 6400);
         assert_eq!(h.count(), h_before + 6400);
         assert!(m.render().contains("lsq_test_pool_total"));

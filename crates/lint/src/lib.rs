@@ -103,7 +103,7 @@ const FIXTURES: &[Fixture] = &[
         rel: "crates/x/src/lib.rs",
         role: Role::Lib,
         firing: "fn f() { let _ = std::env::var(\"LSQ_JOBS\"); }\n",
-        clean: "fn f() { let _ = lsq_util::knobs::get(\"LSQ_JOBS\"); }\n",
+        clean: "fn f(opts: &RunOptions) -> Option<usize> { opts.jobs }\n",
     },
     Fixture {
         rule: rules::ZERO_COST_NOP,

@@ -3,7 +3,7 @@
 //! | id | invariant |
 //! |----|-----------|
 //! | `hot-path-alloc` | no allocation constructs inside `lsq-lint: hot` items |
-//! | `knob-registry` | `LSQ_*` env reads go through `lsq_util::knobs`; registry ↔ `EXPERIMENTS.md` knob table stay in sync |
+//! | `knob-registry` | library code never reads or writes the environment (binaries parse `LSQ_*` knobs into `RunOptions`); every knob literal is registered; registry ↔ `EXPERIMENTS.md` knob table stay in sync |
 //! | `zero-cost-nop` | `impl … for Nop*` methods are `#[inline(always)]` with trivial bodies |
 //! | `metric-naming` | telemetry metric names are `lsq_`-prefixed snake_case, label keys snake_case |
 //! | `no-unwrap-in-lib` | no `unwrap()` / `expect()` / `panic!` in library code outside tests |
@@ -44,8 +44,24 @@ pub const ALL_RULES: &[&str] = &[
     WAIVER_SYNTAX,
 ];
 
-/// The one module allowed to read `LSQ_*` environment variables.
+/// The knob registry module: its `LSQ_*` literals define the knobs.
 pub const KNOB_REGISTRY_FILE: &str = "crates/util/src/knobs.rs";
+
+/// The one module allowed to call the registry's value accessors
+/// (`lsq_util::knobs::{get, get_os, flag}`): it parses every knob into
+/// `RunOptions`.
+pub const OPTIONS_FILE: &str = "crates/experiments/src/options.rs";
+
+/// Trees whose library code must not touch the environment: the
+/// workspace's crates. (`perfbench/` is a separate binary-only package;
+/// its harness reads the environment to refuse ambient knobs.)
+const ENV_SCOPE: &[&str] = &["crates/", "src/"];
+/// `std::env` functions that read the environment.
+const ENV_READS: &[&str] = &["var", "var_os", "vars", "vars_os"];
+/// `std::env` functions that write the environment.
+const ENV_WRITES: &[&str] = &["set_var", "remove_var"];
+/// Knob value accessors reserved to [`OPTIONS_FILE`].
+const KNOB_ACCESSORS: &[&str] = &["get", "get_os", "flag"];
 
 /// Files/trees subject to `relaxed-ordering-audit`.
 const RELAXED_AUDIT_SCOPE: &[&str] = &["crates/experiments/src/engine.rs", "crates/telemetry/"];
@@ -193,33 +209,80 @@ pub fn documented_knob_names(md: &str) -> Vec<(String, u32)> {
     out
 }
 
+/// The identifier after a `<head>::` path segment starting at token
+/// `i`, when it is one of `names` and called.
+fn path_call<'a>(t: &'a [Tok], i: usize, head: &str, names: &[&str]) -> Option<&'a str> {
+    let name = t.get(i + 3)?;
+    (t[i].is_ident(head)
+        && t.get(i + 1)?.is_punct(':')
+        && t.get(i + 2)?.is_punct(':')
+        && name.kind == TokKind::Ident
+        && names.contains(&name.text.as_str())
+        && t.get(i + 4)?.is_punct('('))
+    .then_some(name.text.as_str())
+}
+
 fn knob_registry_file(f: &FileCtx, ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    if f.rel == KNOB_REGISTRY_FILE {
-        return;
-    }
     let t = &f.lexed.toks;
+    let lib = f.role == Role::Lib && ENV_SCOPE.iter().any(|p| f.rel.starts_with(p));
+    let knob_literal = |j: usize| {
+        t.get(j)
+            .is_some_and(|s| s.kind == TokKind::Str && is_knob_shaped(&s.text))
+    };
     for i in 0..t.len() {
-        // `var("LSQ_…")` / `var_os("LSQ_…")` — an env read that
-        // bypasses the registry accessors.
+        // `var("LSQ_…")` / `var_os("LSQ_…")` — a knob read that bypasses
+        // the binaries' one parse into `RunOptions`.
         if (t[i].is_ident("var") || t[i].is_ident("var_os"))
             && t.get(i + 1).is_some_and(|p| p.is_punct('('))
-            && t.get(i + 2)
-                .is_some_and(|s| s.kind == TokKind::Str && is_knob_shaped(&s.text))
+            && knob_literal(i + 2)
         {
             out.push(error(
                 KNOB_REGISTRY,
                 f,
                 t[i].line,
                 format!(
-                    "env read of `{}` bypasses the knob registry; use \
-                     `lsq_util::knobs::{{get, get_os, flag}}` instead",
+                    "env read of `{}` bypasses RunOptions; parse the knob in \
+                     lsq_experiments::options and pass the option down",
                     t[i + 2].text
                 ),
             ));
+        } else if lib && !f.in_test_region(i) {
+            // Any other environment access from library code (a knob
+            // read is reported at its `var` token above).
+            let access = path_call(t, i, "env", ENV_READS)
+                .filter(|_| !knob_literal(i + 5))
+                .map(|name| ("reads", name))
+                .or_else(|| path_call(t, i, "env", ENV_WRITES).map(|name| ("writes", name)));
+            if let Some((verb, name)) = access {
+                out.push(error(
+                    KNOB_REGISTRY,
+                    f,
+                    t[i].line,
+                    format!(
+                        "library code {verb} the environment (`env::{name}`); binaries \
+                         parse it once into RunOptions and pass options down"
+                    ),
+                ));
+            }
+        }
+        if f.rel != OPTIONS_FILE {
+            if let Some(name) = path_call(t, i, "knobs", KNOB_ACCESSORS) {
+                out.push(error(
+                    KNOB_REGISTRY,
+                    f,
+                    t[i].line,
+                    format!(
+                        "`knobs::{name}` outside {OPTIONS_FILE}; read the parsed \
+                         RunOptions field instead"
+                    ),
+                ));
+            }
         }
         // Any knob-shaped literal in lib/bin code must be registered,
-        // so typos and undeclared knobs cannot hide.
+        // so typos and undeclared knobs cannot hide. (The registry's own
+        // tests may name fake knobs.)
         if matches!(f.role, Role::Lib | Role::Bin)
+            && f.rel != KNOB_REGISTRY_FILE
             && ws.has_drift_inputs
             && t[i].kind == TokKind::Str
             && is_knob_shaped(&t[i].text)

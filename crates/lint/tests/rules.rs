@@ -103,21 +103,67 @@ fn env_var_read_of_knob_fires() {
 }
 
 #[test]
-fn registry_module_itself_may_read_env() {
-    let src = "pub fn get(name: &str) -> Option<String> { std::env::var(name).ok() }\nconst K: &str = \"LSQ_JOBS\";\n";
+fn registry_module_may_name_knobs_but_not_read_env() {
+    let src = "const K: &str = \"LSQ_JOBS\";\n";
     assert!(fired(rules::KNOB_REGISTRY_FILE, Role::Lib, src).is_empty());
+    let src = "pub fn get(name: &str) -> Option<String> { std::env::var(name).ok() }\n";
+    assert_eq!(
+        fired(rules::KNOB_REGISTRY_FILE, Role::Lib, src),
+        vec![rules::KNOB_REGISTRY]
+    );
 }
 
 #[test]
-fn non_knob_env_reads_are_out_of_scope() {
-    // Not LSQ_-shaped: other prefixes and lowercase tails.
-    let src = "fn f() { let _ = std::env::var(\"HOME\"); let _ = std::env::var(\"LSQ_lower\"); }\n";
+fn library_env_reads_and_writes_fire() {
+    for call in [
+        "let _ = std::env::var(\"HOME\");",
+        "let _ = std::env::var_os(name);",
+        "let _ = env::vars_os();",
+        "for _ in std::env::vars() {}",
+        "std::env::set_var(\"LSQ_ACCOUNTING\", \"1\");",
+        "std::env::remove_var(\"LSQ_ACCOUNTING\");",
+    ] {
+        let src = format!("fn f(name: &str) {{ {call} }}\n");
+        let diags = lint_source("crates/x/src/lib.rs", Role::Lib, &src);
+        assert_eq!(diags.len(), 1, "{call}: {diags:?}");
+        assert_eq!(diags[0].rule, rules::KNOB_REGISTRY);
+        assert!(diags[0].message.contains("environment"), "{call}");
+    }
+}
+
+#[test]
+fn binaries_and_lib_tests_may_touch_env() {
+    // Binaries parse the environment once, into RunOptions.
+    let src = "fn main() { let o = RunOptions::parse_or_exit(std::env::vars_os()); }\n";
+    assert!(fired("crates/x/src/bin/run.rs", Role::Bin, src).is_empty());
+    // Non-knob reads in a binary are out of scope: other prefixes and
+    // lowercase tails.
+    let src =
+        "fn main() { let _ = std::env::var(\"HOME\"); let _ = std::env::var(\"LSQ_lower\"); }\n";
+    assert!(fired("crates/x/src/bin/run.rs", Role::Bin, src).is_empty());
+    // A library's own #[cfg(test)] module may set up the environment.
+    let src = "#[cfg(test)]\nmod tests {\n    fn t() { std::env::set_var(\"HOME\", \"/x\"); }\n}\n";
     assert!(fired_lib(src).is_empty());
 }
 
 #[test]
-fn knobs_accessor_reads_are_clean() {
-    assert!(fired_lib("fn f() -> bool { lsq_util::knobs::flag(\"LSQ_PROFILE\") }\n").is_empty());
+fn knobs_accessors_outside_options_module_fire() {
+    for call in [
+        "get(\"LSQ_JOBS\")",
+        "get_os(\"LSQ_JOBS\")",
+        "flag(\"LSQ_PROFILE\")",
+    ] {
+        let src = format!("fn f() {{ let _ = lsq_util::knobs::{call}; }}\n");
+        assert_eq!(fired_lib(&src), vec![rules::KNOB_REGISTRY], "{call}");
+        assert!(
+            fired(rules::OPTIONS_FILE, Role::Lib, &src).is_empty(),
+            "{call}"
+        );
+    }
+    // Registry lookups stay open to everyone.
+    assert!(
+        fired_lib("fn f() -> bool { lsq_util::knobs::find(\"LSQ_JOBS\").is_some() }\n").is_empty()
+    );
 }
 
 #[test]

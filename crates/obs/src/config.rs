@@ -1,7 +1,8 @@
-//! Environment-driven trace configuration.
+//! Trace configuration.
 //!
 //! Any run — `bin/diag`, `bin/artifact`, or a full experiment batch —
-//! can be traced without code changes:
+//! can be traced without code changes; the experiment binaries parse
+//! these knobs once at start-up into a [`TraceConfig`]:
 //!
 //! * `LSQ_TRACE=<path>[:events|:chrome|:timeline]` selects the sink
 //!   file and format (`events` = JSONL, `chrome` = Chrome
@@ -62,23 +63,6 @@ impl TraceConfig {
         }
     }
 
-    /// Read `LSQ_TRACE` / `LSQ_SAMPLE_CYCLES` / `LSQ_TRACE_CAP`;
-    /// `None` when `LSQ_TRACE` is unset or empty.
-    pub fn from_env() -> Option<TraceConfig> {
-        let trace = lsq_util::knobs::get("LSQ_TRACE")?;
-        if trace.trim().is_empty() {
-            return None;
-        }
-        let sample = lsq_util::knobs::get("LSQ_SAMPLE_CYCLES");
-        let mut cfg = TraceConfig::parse(&trace, sample.as_deref());
-        if let Some(cap) =
-            lsq_util::knobs::get("LSQ_TRACE_CAP").and_then(|s| s.trim().parse::<usize>().ok())
-        {
-            cfg.capacity = cap.max(1);
-        }
-        Some(cfg)
-    }
-
     /// The sampler window to use, honouring the mode: `timeline` runs
     /// sample even when `LSQ_SAMPLE_CYCLES` is unset (defaulting to
     /// 1000 cycles), since a timeline with no windows would be empty.
@@ -90,19 +74,13 @@ impl TraceConfig {
         }
     }
 
-    /// A copy with the output path uniquified for engine job `n`:
-    /// job 0 writes the configured path verbatim; job `n` appends
-    /// `.n` before nothing (i.e. `out.json` → `out.json.3`) so
-    /// parallel jobs never clobber each other.
+    /// A copy with the output path uniquified for engine job `n` (see
+    /// [`job_path`]).
     pub fn for_job(&self, n: u64) -> TraceConfig {
-        if n == 0 {
-            return self.clone();
+        TraceConfig {
+            path: job_path(&self.path, n),
+            ..self.clone()
         }
-        let mut cfg = self.clone();
-        let mut os = cfg.path.into_os_string();
-        os.push(format!(".{n}"));
-        cfg.path = PathBuf::from(os);
-        cfg
     }
 
     /// Path of the CSV timeline sidecar written alongside `events` /
@@ -149,7 +127,19 @@ impl TraceConfig {
     }
 }
 
-fn write_file(path: &Path, contents: &str) -> std::io::Result<()> {
+/// `path` uniquified for engine job `n`: job 0 keeps it verbatim, job
+/// `n` appends `.n` (`out.json` → `out.json.3`), so parallel jobs never
+/// clobber each other.
+pub fn job_path(path: &Path, n: u64) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    if n > 0 {
+        os.push(format!(".{n}"));
+    }
+    PathBuf::from(os)
+}
+
+/// Writes `contents` to `path`, creating missing parent directories.
+pub(crate) fn write_file(path: &Path, contents: &str) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;

@@ -22,9 +22,10 @@
 //!   misprediction rate debuggable.
 //! * **A metrics registry** — [`Registry`] renders counter sections as
 //!   aligned text or JSON; `bin/diag` is built on it.
-//! * **Env-driven wiring** — [`TraceConfig::from_env`] parses
-//!   `LSQ_TRACE=<path>[:events|:timeline|:chrome]` and
-//!   `LSQ_SAMPLE_CYCLES=<n>` so any experiment run can be traced
+//! * **Sink configuration** — [`TraceConfig::parse`] and
+//!   [`PipeviewConfig::parse`] read the `<path>[:format]` values of the
+//!   `LSQ_TRACE` and `LSQ_PIPEVIEW` knobs, which the experiment binaries
+//!   parse once at start-up, so any experiment run can be traced
 //!   without code changes.
 //!
 //! The crate depends only on `lsq-isa` (for [`lsq_isa::Pc`] and
@@ -43,7 +44,7 @@ pub mod sample;
 pub mod tracer;
 
 pub use attrib::{PcAttribution, PcCounters};
-pub use config::{TraceConfig, TraceMode};
+pub use config::{job_path, TraceConfig, TraceMode};
 pub use cpisample::{CpiStackSampler, CpiWindow};
 pub use event::{Event, MemOp, MissLevel, QueueSide, SquashCause, TimedEvent};
 pub use json::Json;

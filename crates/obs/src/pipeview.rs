@@ -21,7 +21,7 @@
 //! flagged. [`PipeviewConfig`] wires the sink to the
 //! `LSQ_PIPEVIEW=<path>[:konata|:o3]` knob.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use crate::event::SquashCause;
 use lsq_isa::{Addr, InstrKind, Pc};
@@ -134,34 +134,13 @@ impl PipeviewConfig {
         }
     }
 
-    /// Read `LSQ_PIPEVIEW` / `LSQ_PIPEVIEW_CAP`; `None` when
-    /// `LSQ_PIPEVIEW` is unset or empty.
-    pub fn from_env() -> Option<PipeviewConfig> {
-        let spec = lsq_util::knobs::get("LSQ_PIPEVIEW")?;
-        if spec.trim().is_empty() {
-            return None;
-        }
-        let mut cfg = PipeviewConfig::parse(&spec);
-        if let Some(cap) =
-            lsq_util::knobs::get("LSQ_PIPEVIEW_CAP").and_then(|s| s.trim().parse::<usize>().ok())
-        {
-            cfg.capacity = cap.max(1);
-        }
-        Some(cfg)
-    }
-
-    /// A copy with the output path uniquified for engine job `n`
-    /// (job 0 verbatim, job `n` appends `.n`), mirroring
-    /// [`crate::TraceConfig::for_job`].
+    /// A copy with the output path uniquified for engine job `n` (see
+    /// [`crate::job_path`]).
     pub fn for_job(&self, n: u64) -> PipeviewConfig {
-        if n == 0 {
-            return self.clone();
+        PipeviewConfig {
+            path: crate::job_path(&self.path, n),
+            ..self.clone()
         }
-        let mut cfg = self.clone();
-        let mut os = cfg.path.into_os_string();
-        os.push(format!(".{n}"));
-        cfg.path = PathBuf::from(os);
-        cfg
     }
 
     /// Render `records` in the configured format and write the file.
@@ -170,18 +149,9 @@ impl PipeviewConfig {
             PipeviewMode::Konata => to_konata(records),
             PipeviewMode::O3 => to_o3(records),
         };
-        write_file(&self.path, &text)?;
+        crate::config::write_file(&self.path, &text)?;
         Ok(self.path.clone())
     }
-}
-
-fn write_file(path: &Path, contents: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, contents)
 }
 
 /// Stage names used in Konata output, in pipeline order: frontend,

@@ -21,30 +21,24 @@ use crate::json::Json;
 /// memory growth.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 18;
 
-/// Receives events from the simulator. All methods default to no-ops;
-/// emission sites must guard payload construction behind
-/// [`Tracer::enabled`] so a disabled tracer costs nothing.
+/// Receives events from the simulator. Emission sites must guard
+/// payload construction behind [`Tracer::enabled`] so a disabled tracer
+/// ([`NopTracer`]) costs nothing.
 pub trait Tracer {
     /// Whether events should be constructed and emitted at all.
-    fn enabled(&self) -> bool {
-        false
-    }
+    fn enabled(&self) -> bool;
 
     /// Called once per simulated cycle, before any events of that cycle.
-    fn set_cycle(&mut self, _cycle: u64) {}
+    fn set_cycle(&mut self, cycle: u64);
 
     /// Record one event at the current cycle.
-    fn emit(&mut self, _event: Event) {}
+    fn emit(&mut self, event: Event);
 }
 
 /// The do-nothing tracer; the default for every simulator struct.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NopTracer;
 
-// Spelled out (rather than relying on trait defaults) so lsq-lint's
-// zero-cost-nop rule can check the contract locally: every method
-// trivial and #[inline(always)], so untraced builds monomorphize to
-// exactly the pre-tracing code.
 impl Tracer for NopTracer {
     #[inline(always)]
     fn enabled(&self) -> bool {
@@ -56,6 +50,22 @@ impl Tracer for NopTracer {
 
     #[inline(always)]
     fn emit(&mut self, _event: Event) {}
+}
+
+/// An optional tracer: `None` is disabled, `Some` forwards. Lets one
+/// monomorphization serve runs with and without a trace sink.
+impl<T: Tracer> Tracer for Option<T> {
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(T::enabled)
+    }
+
+    fn set_cycle(&mut self, cycle: u64) {
+        self.iter_mut().for_each(|t| t.set_cycle(cycle));
+    }
+
+    fn emit(&mut self, event: Event) {
+        self.iter_mut().for_each(|t| t.emit(event));
+    }
 }
 
 /// A bounded ring of [`TimedEvent`]s plus always-on per-PC attribution.

@@ -155,55 +155,36 @@ impl Component {
     }
 }
 
-/// A cycle-accounting sink for the simulator. The default methods are
-/// the no-op implementation, so [`NopAccountant`] is just the trait's
-/// defaults; attribution sites guard on [`CycleAccountant::enabled`],
-/// which must be a constant `false` for the no-op to vanish under
+/// A cycle-accounting sink for the simulator. Attribution sites guard
+/// on [`CycleAccountant::enabled`], which [`NopAccountant`] makes a
+/// constant `false` so the disabled accountant vanishes under
 /// monomorphization.
 pub trait CycleAccountant {
     /// Whether attribution sites should classify at all.
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
+    fn enabled(&self) -> bool;
 
     /// Tells the accountant the machine's commit width (slots per
     /// cycle); called once at simulator construction.
-    #[inline]
-    fn init(&mut self, commit_width: u64) {
-        let _ = commit_width;
-    }
+    fn init(&mut self, commit_width: u64);
 
     /// Charges `slots` commit slots to `component`.
-    #[inline]
-    fn charge(&mut self, component: Component, slots: u64) {
-        let _ = (component, slots);
-    }
+    fn charge(&mut self, component: Component, slots: u64);
 
     /// Marks the end of a simulated cycle (feeds the windowed sampler).
-    #[inline]
-    fn end_cycle(&mut self, cycle: u64) {
-        let _ = cycle;
-    }
+    fn end_cycle(&mut self, cycle: u64);
 
     /// The accumulated stack, or `None` when disabled.
-    fn report(&self) -> Option<CpiStack> {
-        None
-    }
+    fn report(&self) -> Option<CpiStack>;
 
     /// Detaches the windowed sampler (flushing its partial last
     /// window), if one was attached.
-    fn take_sampler(&mut self) -> Option<CpiStackSampler> {
-        None
-    }
+    fn take_sampler(&mut self) -> Option<CpiStackSampler>;
 }
 
 /// The zero-cost default: accounting disabled, all sites compile away.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NopAccountant;
 
-// Spelled out so lsq-lint's zero-cost-nop rule can check the contract
-// locally: every method trivial and #[inline(always)].
 impl CycleAccountant for NopAccountant {
     #[inline(always)]
     fn enabled(&self) -> bool {
@@ -227,6 +208,33 @@ impl CycleAccountant for NopAccountant {
     #[inline(always)]
     fn take_sampler(&mut self) -> Option<CpiStackSampler> {
         None
+    }
+}
+
+/// An optional accountant: `None` is disabled, `Some` forwards.
+impl<A: CycleAccountant> CycleAccountant for Option<A> {
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(A::enabled)
+    }
+
+    fn init(&mut self, commit_width: u64) {
+        self.iter_mut().for_each(|a| a.init(commit_width));
+    }
+
+    fn charge(&mut self, component: Component, slots: u64) {
+        self.iter_mut().for_each(|a| a.charge(component, slots));
+    }
+
+    fn end_cycle(&mut self, cycle: u64) {
+        self.iter_mut().for_each(|a| a.end_cycle(cycle));
+    }
+
+    fn report(&self) -> Option<CpiStack> {
+        self.as_ref().and_then(A::report)
+    }
+
+    fn take_sampler(&mut self) -> Option<CpiStackSampler> {
+        self.as_mut().and_then(A::take_sampler)
     }
 }
 

@@ -46,79 +46,50 @@ pub const STAGE_NAMES: [&str; 4] = [
     "lb_residency",
 ];
 
-/// A lifecycle sink for the simulator. The default methods are the
-/// no-op implementation, so [`NopLifecycle`] is just the trait's
-/// defaults; stamp sites guard on [`Lifecycle::enabled`], which must be
-/// a constant `false` for the no-op to vanish under monomorphization.
+/// A lifecycle sink for the simulator. Stamp sites guard on
+/// [`Lifecycle::enabled`], which [`NopLifecycle`] makes a constant
+/// `false` so the disabled recorder vanishes under monomorphization.
 pub trait Lifecycle {
     /// Whether stamp sites should record at all.
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
+    fn enabled(&self) -> bool;
 
     /// Tells the recorder the maximum number of simultaneously
     /// in-flight instructions (ROB entries plus the fetch buffer);
     /// called once at simulator construction.
-    #[inline]
-    fn init(&mut self, max_inflight: usize) {
-        let _ = max_inflight;
-    }
+    fn init(&mut self, max_inflight: usize);
 
     /// `seq` entered the frontend at `cycle`.
-    #[inline]
-    fn fetch(&mut self, seq: u64, cycle: u64, instr: &Instruction) {
-        let _ = (seq, cycle, instr);
-    }
+    fn fetch(&mut self, seq: u64, cycle: u64, instr: &Instruction);
 
     /// `seq` entered the ROB/queues at `cycle`, waiting on the renamed
     /// producers in `deps`.
-    #[inline]
-    fn dispatch(&mut self, seq: u64, cycle: u64, deps: [Option<u64>; 2]) {
-        let _ = (seq, cycle, deps);
-    }
+    fn dispatch(&mut self, seq: u64, cycle: u64, deps: [Option<u64>; 2]);
 
     /// `seq` issued at `cycle`; its result is available at `writeback`.
     /// For loads, `sq_extra` is the segmented SQ-search's extra latency
     /// and `mem_level` the deepest hierarchy level reached
     /// (0 = L1/forward, 1 = L2, 2 = memory).
-    #[inline]
-    fn issue(&mut self, seq: u64, cycle: u64, writeback: u64, sq_extra: u32, mem_level: u8) {
-        let _ = (seq, cycle, writeback, sq_extra, mem_level);
-    }
+    fn issue(&mut self, seq: u64, cycle: u64, writeback: u64, sq_extra: u32, mem_level: u8);
 
     /// `seq` retired at `cycle`.
-    #[inline]
-    fn commit(&mut self, seq: u64, cycle: u64) {
-        let _ = (seq, cycle);
-    }
+    fn commit(&mut self, seq: u64, cycle: u64);
 
     /// Every in-flight instruction in `victim..fetched_through` was
     /// squashed at `cycle`; their records are terminated with `cause`.
     /// Called before the simulator rewinds its fetch sequence, so
     /// `fetched_through` is the pre-squash fetch frontier.
-    #[inline]
-    fn squash(&mut self, victim: u64, fetched_through: u64, cycle: u64, cause: SquashCause) {
-        let _ = (victim, fetched_through, cycle, cause);
-    }
+    fn squash(&mut self, victim: u64, fetched_through: u64, cycle: u64, cause: SquashCause);
 
     /// The accumulated stage-latency histograms, or `None` when
     /// disabled.
-    fn report(&self) -> Option<StageLatency> {
-        None
-    }
+    fn report(&self) -> Option<StageLatency>;
 
     /// Drains the finished-record ring, oldest first; `None` when
     /// disabled.
-    fn take_records(&mut self) -> Option<Vec<PipeRecord>> {
-        None
-    }
+    fn take_records(&mut self) -> Option<Vec<PipeRecord>>;
 
     /// Finished records evicted because the ring was full.
-    #[inline]
-    fn dropped(&self) -> u64 {
-        0
-    }
+    fn dropped(&self) -> u64;
 }
 
 /// The zero-cost default: lifecycle recording disabled, all stamp
@@ -126,8 +97,6 @@ pub trait Lifecycle {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NopLifecycle;
 
-// Spelled out so lsq-lint's zero-cost-nop rule can check the contract
-// locally: every method trivial and #[inline(always)].
 impl Lifecycle for NopLifecycle {
     #[inline(always)]
     fn enabled(&self) -> bool {
@@ -165,6 +134,51 @@ impl Lifecycle for NopLifecycle {
     #[inline(always)]
     fn dropped(&self) -> u64 {
         0
+    }
+}
+
+/// An optional recorder: `None` is disabled, `Some` forwards.
+impl<L: Lifecycle> Lifecycle for Option<L> {
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(L::enabled)
+    }
+
+    fn init(&mut self, max_inflight: usize) {
+        self.iter_mut().for_each(|l| l.init(max_inflight));
+    }
+
+    fn fetch(&mut self, seq: u64, cycle: u64, instr: &Instruction) {
+        self.iter_mut().for_each(|l| l.fetch(seq, cycle, instr));
+    }
+
+    fn dispatch(&mut self, seq: u64, cycle: u64, deps: [Option<u64>; 2]) {
+        self.iter_mut().for_each(|l| l.dispatch(seq, cycle, deps));
+    }
+
+    fn issue(&mut self, seq: u64, cycle: u64, writeback: u64, sq_extra: u32, mem_level: u8) {
+        self.iter_mut()
+            .for_each(|l| l.issue(seq, cycle, writeback, sq_extra, mem_level));
+    }
+
+    fn commit(&mut self, seq: u64, cycle: u64) {
+        self.iter_mut().for_each(|l| l.commit(seq, cycle));
+    }
+
+    fn squash(&mut self, victim: u64, fetched_through: u64, cycle: u64, cause: SquashCause) {
+        self.iter_mut()
+            .for_each(|l| l.squash(victim, fetched_through, cycle, cause));
+    }
+
+    fn report(&self) -> Option<StageLatency> {
+        self.as_ref().and_then(L::report)
+    }
+
+    fn take_records(&mut self) -> Option<Vec<PipeRecord>> {
+        self.as_mut().and_then(L::take_records)
+    }
+
+    fn dropped(&self) -> u64 {
+        self.as_ref().map_or(0, L::dropped)
     }
 }
 

@@ -72,35 +72,24 @@ impl Phase {
     }
 }
 
-/// A profiling sink for the simulator. The default methods are the
-/// no-op implementation, so [`NopProfiler`] is just the trait's
-/// defaults; timing sites guard on [`Profiler::enabled`], which must be
-/// a constant `false` for the no-op to vanish under monomorphization.
+/// A profiling sink for the simulator. Timing sites guard on
+/// [`Profiler::enabled`], which [`NopProfiler`] makes a constant
+/// `false` so the disabled profiler vanishes under monomorphization.
 pub trait Profiler {
     /// Whether timing sites should take timestamps at all.
-    #[inline]
-    fn enabled(&self) -> bool {
-        false
-    }
+    fn enabled(&self) -> bool;
 
     /// Adds one timed invocation of `phase`.
-    #[inline]
-    fn record(&mut self, phase: Phase, nanos: u64) {
-        let _ = (phase, nanos);
-    }
+    fn record(&mut self, phase: Phase, nanos: u64);
 
     /// The accumulated per-phase report, or `None` when disabled.
-    fn report(&self) -> Option<PhaseProfile> {
-        None
-    }
+    fn report(&self) -> Option<PhaseProfile>;
 }
 
 /// The zero-cost default: profiling disabled, all sites compile away.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NopProfiler;
 
-// Spelled out so lsq-lint's zero-cost-nop rule can check the contract
-// locally: every method trivial and #[inline(always)].
 impl Profiler for NopProfiler {
     #[inline(always)]
     fn enabled(&self) -> bool {
@@ -113,6 +102,21 @@ impl Profiler for NopProfiler {
     #[inline(always)]
     fn report(&self) -> Option<PhaseProfile> {
         None
+    }
+}
+
+/// An optional profiler: `None` is disabled, `Some` forwards.
+impl<P: Profiler> Profiler for Option<P> {
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(P::enabled)
+    }
+
+    fn record(&mut self, phase: Phase, nanos: u64) {
+        self.iter_mut().for_each(|p| p.record(phase, nanos));
+    }
+
+    fn report(&self) -> Option<PhaseProfile> {
+        self.as_ref().and_then(P::report)
     }
 }
 

@@ -96,32 +96,23 @@ struct Fetched {
 
 /// The out-of-order core.
 ///
-/// The `T` parameter is the trace sink; the default [`NopTracer`]
-/// monomorphizes every emission site away, so untraced simulators
-/// compile to the pre-tracing code. A cloneable tracer (e.g.
-/// [`lsq_obs::SharedTracer`]) is shared with the LSQ and the memory
-/// hierarchy so all events land in one buffer in emission order.
+/// Four observer parameters follow one pattern: each `Nop*` default
+/// makes its sites vanish under monomorphization, so an unobserved
+/// simulator compiles to the plain model, and `Option<_>` of a real
+/// observer switches it per run.
 ///
-/// The `P` parameter is the self-profiler, following the same pattern:
-/// the default [`NopProfiler`] makes every phase-timing site vanish
-/// under monomorphization, while
-/// [`WallProfiler`](crate::profile::WallProfiler) accumulates per-phase
-/// wall time and invocation counts (see [`crate::profile`]).
-///
-/// The `A` parameter is the cycle accountant, following the same
-/// pattern again: the default [`NopAccountant`] makes every
-/// attribution site vanish under monomorphization, while
-/// [`SlotAccountant`](crate::accounting::SlotAccountant) classifies
-/// every commit slot of every cycle into a CPI-stack component (see
-/// [`crate::accounting`]).
-///
-/// The `L` parameter is the instruction-lifecycle recorder, the fourth
-/// instance of the pattern: the default [`NopLifecycle`] makes every
-/// stamp site vanish under monomorphization, while
-/// [`PipeviewRecorder`](crate::lifecycle::PipeviewRecorder) captures
-/// each in-flight instruction's fetch/dispatch/issue/writeback/commit
-/// (or squash) cycles for pipeline-viewer logs, stage-latency
-/// histograms, and critical-path analysis (see [`crate::lifecycle`]).
+/// * `T`, the trace sink, e.g. [`lsq_obs::SharedTracer`]: cloned into
+///   the LSQ and the memory hierarchy so all events land in one buffer
+///   in emission order.
+/// * `P`, the self-profiler: [`WallProfiler`](crate::profile::WallProfiler)
+///   accumulates per-phase wall time (see [`crate::profile`]).
+/// * `A`, the cycle accountant:
+///   [`SlotAccountant`](crate::accounting::SlotAccountant) charges every
+///   commit slot to a CPI-stack component (see [`crate::accounting`]).
+/// * `L`, the lifecycle recorder:
+///   [`PipeviewRecorder`](crate::lifecycle::PipeviewRecorder) stamps each
+///   instruction's stages for pipeline-viewer logs, stage latencies and
+///   critical paths (see [`crate::lifecycle`]).
 #[derive(Debug)]
 pub struct Simulator<
     T: Tracer = NopTracer,
@@ -214,50 +205,26 @@ pub struct Simulator<
 }
 
 impl Simulator<NopTracer> {
-    /// Builds an untraced simulator for the given configuration.
+    /// Builds an unobserved simulator for the given configuration.
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`SimConfig::validate`].
     pub fn new(cfg: SimConfig) -> Self {
-        Self::with_tracer(cfg, NopTracer)
-    }
-}
-
-impl<T: Tracer + Clone> Simulator<T> {
-    /// Builds a simulator emitting events to `tracer`; the LSQ and the
-    /// memory hierarchy get clones so all layers share one sink.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SimConfig::validate`].
-    pub fn with_tracer(cfg: SimConfig, tracer: T) -> Self {
-        Self::with_parts(cfg, tracer, NopProfiler)
+        Self::with_parts(cfg, NopTracer, NopProfiler)
     }
 }
 
 impl<T: Tracer + Clone, P: Profiler> Simulator<T, P> {
     /// Builds a simulator with a trace sink and a self-profiler but no
-    /// cycle accountant (the constructor behind [`Simulator::new`] and
-    /// [`Simulator::with_tracer`]).
+    /// cycle accountant or lifecycle recorder. The LSQ and the memory
+    /// hierarchy get clones of `tracer`, so all layers share one sink.
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`SimConfig::validate`].
     pub fn with_parts(cfg: SimConfig, tracer: T, profiler: P) -> Self {
-        Self::with_all(cfg, tracer, profiler, NopAccountant)
-    }
-}
-
-impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant> Simulator<T, P, A> {
-    /// Builds a simulator with a trace sink, a self-profiler, and a
-    /// cycle accountant but no lifecycle recorder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SimConfig::validate`].
-    pub fn with_all(cfg: SimConfig, tracer: T, profiler: P, acct: A) -> Self {
-        Self::with_lifecycle(cfg, tracer, profiler, acct, NopLifecycle)
+        Self::with_lifecycle(cfg, tracer, profiler, NopAccountant, NopLifecycle)
     }
 }
 
@@ -1757,11 +1724,12 @@ mod tests {
         }
         let n = instrs.len() as u64;
         let mut stream = VecStream::new(instrs);
-        let mut sim = Simulator::with_all(
+        let mut sim = Simulator::with_lifecycle(
             SimConfig::default(),
             NopTracer,
             NopProfiler,
             SlotAccountant::new(),
+            NopLifecycle,
         );
         let r = sim.run(&mut stream, n);
         let stack = r.cpi_stack.expect("accounted run reports a stack");

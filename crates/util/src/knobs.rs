@@ -1,18 +1,17 @@
 //! The central `LSQ_*` environment-knob registry.
 //!
-//! Every environment variable the workspace reads is declared here —
-//! name, value kind, default, and a one-line doc — and read through
-//! [`get`] / [`get_os`] / [`flag`]. The `lsq-lint` rule `knob-registry`
-//! enforces this mechanically: a literal `std::env::var("LSQ_…")` call
-//! anywhere outside this module is a lint error, as is drift between
-//! this table and the knob table in `EXPERIMENTS.md` (in either
-//! direction).
+//! Every environment variable the workspace honours is declared here —
+//! name, value kind, default, and a one-line doc. Library code never
+//! reads the environment: each binary's `main` hands its variables to
+//! `lsq_experiments::options::RunOptions`, which parses every
+//! registered knob once and rejects `LSQ_*` names missing from this
+//! table. The `lsq-lint` rule `knob-registry` enforces this
+//! mechanically: an environment read or write in library code is a lint
+//! error, as is drift between this table and the knob table in
+//! `EXPERIMENTS.md` (in either direction).
 //!
-//! Registering a knob means adding one [`Knob`] row to [`REGISTRY`] and
-//! one row to the `EXPERIMENTS.md` knob table; call sites then use
-//! `lsq_util::knobs::get("LSQ_MY_KNOB")`.
-
-use std::ffi::OsString;
+//! Registering a knob means adding one [`Knob`] row to [`REGISTRY`], one
+//! row to the `EXPERIMENTS.md` knob table, and its parse to `RunOptions`.
 
 /// One registered environment knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,39 +119,6 @@ pub fn find(name: &str) -> Option<&'static Knob> {
     REGISTRY.iter().find(|k| k.name == name)
 }
 
-/// Whether `name` is a registered knob.
-pub fn is_registered(name: &str) -> bool {
-    find(name).is_some()
-}
-
-fn assert_registered(name: &str) {
-    debug_assert!(
-        is_registered(name),
-        "environment knob {name} is not in lsq_util::knobs::REGISTRY; \
-         register it there and document it in EXPERIMENTS.md"
-    );
-}
-
-/// Reads a registered knob as UTF-8, `None` when unset or invalid UTF-8.
-///
-/// The single sanctioned path to `std::env::var` for `LSQ_*` names;
-/// debug builds assert the name is registered.
-pub fn get(name: &str) -> Option<String> {
-    assert_registered(name);
-    std::env::var(name).ok()
-}
-
-/// Reads a registered knob as an `OsString`, `None` when unset.
-pub fn get_os(name: &str) -> Option<OsString> {
-    assert_registered(name);
-    std::env::var_os(name)
-}
-
-/// Reads a boolean knob: set, non-empty, and not `0` (after trimming).
-pub fn flag(name: &str) -> bool {
-    matches!(get(name).as_deref().map(str::trim), Some(v) if !v.is_empty() && v != "0")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,18 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn lookup_and_flag_semantics() {
-        assert!(is_registered("LSQ_JOBS"));
-        assert!(!is_registered("LSQ_NOT_A_KNOB"));
-        // `flag` reads through the process environment; exercise the
-        // parse via a registered knob that tests own exclusively.
-        std::env::set_var("LSQ_PROFILE", "0");
-        assert!(!flag("LSQ_PROFILE"));
-        std::env::set_var("LSQ_PROFILE", " 1 ");
-        assert!(flag("LSQ_PROFILE"));
-        std::env::set_var("LSQ_PROFILE", "");
-        assert!(!flag("LSQ_PROFILE"));
-        std::env::remove_var("LSQ_PROFILE");
-        assert!(!flag("LSQ_PROFILE"));
+    fn lookup() {
+        assert!(find("LSQ_JOBS").is_some());
+        assert!(find("LSQ_NOT_A_KNOB").is_none());
+        assert_eq!(find("LSQ_INSTRS").map(|k| k.kind), Some("int"));
     }
 }

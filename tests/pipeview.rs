@@ -5,13 +5,9 @@
 //! terminate their victims' records with the right cause, and the
 //! engine's `LSQ_PIPEVIEW` path must write a parseable log while
 //! accounting ring overflow in `lsq_pipeview_dropped_total`.
-//!
-//! The env-dependent assertions are confined to a single `#[test]`
-//! (mirroring `telemetry_profile.rs`); the remaining tests never read
-//! the environment.
 
 use lsq::core::LsqConfig;
-use lsq::experiments::{telemetry, Engine, Job, RunSpec};
+use lsq::experiments::{telemetry, Engine, Job, RunOptions, RunSpec};
 use lsq::isa::{Addr, ArchReg, InstrKind, Instruction, Pc, VecStream};
 use lsq::obs::{
     parse_konata, parse_o3, parse_pipeview, NopTracer, PipeRecord, PipeviewConfig, SquashCause,
@@ -21,35 +17,6 @@ use lsq::pipeline::{
 };
 use lsq::trace::BenchProfile;
 use std::collections::HashSet;
-use std::sync::Mutex;
-
-/// Serializes the tests that mutate process environment variables.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Holds the env lock and restores every listed variable on drop.
-struct EnvGuard {
-    _lock: std::sync::MutexGuard<'static, ()>,
-    saved: Vec<(&'static str, Option<std::ffi::OsString>)>,
-}
-
-impl EnvGuard {
-    fn new(vars: &[&'static str]) -> Self {
-        let lock = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let saved = vars.iter().map(|&v| (v, std::env::var_os(v))).collect();
-        Self { _lock: lock, saved }
-    }
-}
-
-impl Drop for EnvGuard {
-    fn drop(&mut self) {
-        for (var, prior) in &self.saved {
-            match prior {
-                Some(v) => std::env::set_var(var, v),
-                None => std::env::remove_var(var),
-            }
-        }
-    }
-}
 
 /// Runs `bench` for `n` instructions with a lifecycle recorder sized to
 /// hold every finished record, returning the cumulative result and the
@@ -194,12 +161,13 @@ fn squash_heavy_run_terminates_records_with_causes() {
 /// bumping `lsq_pipeview_dropped_total` so the loss is visible.
 #[test]
 fn env_knob_writes_log_and_ring_overflow_is_accounted() {
-    let _env = EnvGuard::new(&["LSQ_PIPEVIEW", "LSQ_PIPEVIEW_CAP", "LSQ_ACCOUNTING"]);
     let path = std::env::temp_dir().join(format!("lsq_pipeview_env_{}.kanata", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    std::env::set_var("LSQ_PIPEVIEW", format!("{}:konata", path.display()));
-    std::env::set_var("LSQ_PIPEVIEW_CAP", "64");
-    std::env::remove_var("LSQ_ACCOUNTING");
+    let knobs = [
+        ("LSQ_PIPEVIEW", format!("{}:konata", path.display())),
+        ("LSQ_PIPEVIEW_CAP", "64".to_string()),
+    ];
+    let options = RunOptions::parse(knobs).expect("valid knobs");
 
     let jobs = vec![Job {
         bench: "gzip",
@@ -211,7 +179,7 @@ fn env_knob_writes_log_and_ring_overflow_is_accounted() {
             seed: 23,
         },
     }];
-    let results = Engine::new().run_batch(&jobs);
+    let results = Engine::with_options(options).run_batch(&jobs);
     assert_eq!(results.len(), 1);
     assert!(
         results[0].stage_latency.is_some(),

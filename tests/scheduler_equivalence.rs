@@ -17,7 +17,8 @@ use lsq::core::{LsqConfig, PredictorKind, SegAlloc};
 use lsq::experiments::runner::diff_results;
 use lsq::obs::NopTracer;
 use lsq::pipeline::{
-    NopAccountant, NopProfiler, PipeviewRecorder, SimConfig, SimResult, Simulator, SlotAccountant,
+    NopAccountant, NopLifecycle, NopProfiler, PipeviewRecorder, SimConfig, SimResult, Simulator,
+    SlotAccountant,
 };
 use lsq::trace::BenchProfile;
 
@@ -45,11 +46,12 @@ fn run(bench: &str, lsq_cfg: LsqConfig, polling: bool) -> SimResult {
 fn run_accounted(bench: &str, lsq_cfg: LsqConfig, polling: bool) -> SimResult {
     let profile = BenchProfile::named(bench).expect("known benchmark");
     let mut stream = profile.stream(1);
-    let mut sim = Simulator::with_all(
+    let mut sim = Simulator::with_lifecycle(
         SimConfig::with_lsq(lsq_cfg),
         NopTracer,
         NopProfiler,
         SlotAccountant::new(),
+        NopLifecycle,
     );
     if polling {
         sim.set_reference_scheduler();

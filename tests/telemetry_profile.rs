@@ -1,57 +1,22 @@
 //! End-to-end checks of the live-telemetry and self-profiler subsystems:
 //! profiling must not perturb simulated counters (the `NopProfiler`
-//! twin of the tracing equivalence test), `LSQ_PROFILE=1` must flow a
+//! twin of the tracing equivalence test), a profiled engine must flow a
 //! per-phase profile into every `LSQ_EXPERIMENTS_JSON` record, and the
 //! metrics server must expose live Prometheus text plus a `/jobs` JSON
 //! snapshot while batches run.
 //!
-//! This file mutates process environment variables, so it lives in its
-//! own integration-test binary: the env-dependent assertions are
-//! confined to a single `#[test]` and the remaining tests never read
-//! the environment.
+//! The observer knobs reach each engine as explicit [`RunOptions`], so
+//! the tests share nothing but the process-wide telemetry hub.
 
 use lsq::core::{LsqConfig, PredictorKind, SegAlloc};
-use lsq::experiments::runner::run_matrix;
-use lsq::experiments::{telemetry, Engine, Job, RunSpec};
+use lsq::experiments::runner::run_matrix_observed;
+use lsq::experiments::{telemetry, Engine, Job, Observers, RunOptions, RunSpec};
 use lsq::isa::{Addr, ArchReg, InstrKind, Instruction, Pc, VecStream};
 use lsq::obs::{Json, NopTracer};
 use lsq::pipeline::{NopProfiler, Phase, WallProfiler};
 use lsq::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Mutex;
-
-/// Serializes the tests that mutate process environment variables
-/// (`cargo test` runs `#[test]`s of one binary concurrently, and env
-/// vars are process-global).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-/// Holds the env lock and restores every listed variable to its prior
-/// state on drop, so a panicking test cannot leak env mutations into
-/// the others.
-struct EnvGuard {
-    _lock: std::sync::MutexGuard<'static, ()>,
-    saved: Vec<(&'static str, Option<std::ffi::OsString>)>,
-}
-
-impl EnvGuard {
-    fn new(vars: &[&'static str]) -> Self {
-        let lock = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let saved = vars.iter().map(|&v| (v, std::env::var_os(v))).collect();
-        Self { _lock: lock, saved }
-    }
-}
-
-impl Drop for EnvGuard {
-    fn drop(&mut self) {
-        for (var, prior) in &self.saved {
-            match prior {
-                Some(v) => std::env::set_var(var, v),
-                None => std::env::remove_var(var),
-            }
-        }
-    }
-}
 
 /// The violation workload shared with the tracing equivalence test: a
 /// late store feeding a same-address load, so squashes and LSQ searches
@@ -134,14 +99,18 @@ fn http_get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 
 #[test]
 fn profiled_batch_flows_into_dump_and_live_endpoints() {
-    let _env = EnvGuard::new(&["LSQ_PROFILE", "LSQ_EXPERIMENTS_JSON", "LSQ_ACCOUNTING"]);
     let dump = std::env::temp_dir().join("lsq_telemetry_profile_test.json");
     let _ = std::fs::remove_file(&dump);
-    std::env::set_var("LSQ_PROFILE", "1");
-    std::env::set_var("LSQ_EXPERIMENTS_JSON", &dump);
-    std::env::remove_var("LSQ_ACCOUNTING");
+    let options = RunOptions {
+        experiments_json: Some(dump.clone()),
+        observers: Observers {
+            profile: true,
+            ..Observers::default()
+        },
+        ..RunOptions::default()
+    };
 
-    // Serve the process-wide hub on an ephemeral port (the env knob
+    // Serve the process-wide hub on an ephemeral port (the knob
     // LSQ_METRICS_ADDR goes through the same `serve` path; tests bind
     // port 0 to avoid collisions).
     let server = telemetry::global()
@@ -165,14 +134,12 @@ fn profiled_batch_flows_into_dump_and_live_endpoints() {
             spec,
         })
         .collect();
-    let engine = Engine::new();
+    let engine = Engine::with_options(options);
     let results = engine.run_batch(&jobs);
-    std::env::remove_var("LSQ_PROFILE");
-    std::env::remove_var("LSQ_EXPERIMENTS_JSON");
 
     // Every fresh result carries a per-phase profile.
     for r in &results {
-        let profile = r.profile.as_ref().expect("LSQ_PROFILE=1 profiles jobs");
+        let profile = r.profile.as_ref().expect("a profiled engine profiles jobs");
         assert!(profile.total_nanos() > 0);
     }
 
@@ -187,7 +154,7 @@ fn profiled_batch_flows_into_dump_and_live_endpoints() {
         assert!(fetch.get("calls").and_then(Json::as_u64).unwrap() > 0);
         assert!(fetch.get("nanos").and_then(Json::as_u64).is_some());
         // These tiny runs never hit the safety cycle cap, and with
-        // LSQ_ACCOUNTING unset no CPI stack is attached.
+        // accounting off no CPI stack is attached.
         assert_eq!(rec.get("capped").and_then(Json::as_bool), Some(false));
         assert!(matches!(rec.get("cpi_stack"), Some(Json::Null)));
     }
@@ -223,29 +190,25 @@ fn profiled_batch_flows_into_dump_and_live_endpoints() {
     assert!(status.contains("404"), "unknown path: {status}");
 }
 
-/// `LSQ_ACCOUNTING=1` end to end: every fresh result and every JSON
-/// dump record carries a CPI stack whose components partition the
-/// measured window, `LSQ_ACCOUNTING_CSV` writes one windowed CSV per
+/// Accounting (`LSQ_ACCOUNTING=1`) end to end: every fresh result and
+/// every JSON dump record carries a CPI stack whose components partition
+/// the measured window, `LSQ_ACCOUNTING_CSV` writes one windowed CSV per
 /// job, `/metrics` exports the labeled cycle counters, and `/jobs`
 /// carries the batch-aggregate stack.
 #[test]
 fn accounted_batch_flows_stacks_everywhere() {
-    let _env = EnvGuard::new(&[
-        "LSQ_PROFILE",
-        "LSQ_EXPERIMENTS_JSON",
-        "LSQ_ACCOUNTING",
-        "LSQ_ACCOUNTING_CSV",
-    ]);
     let dump = std::env::temp_dir().join("lsq_telemetry_accounting_test.json");
     let csv = std::env::temp_dir().join("lsq_telemetry_accounting_test.csv");
     let csv1 = std::path::PathBuf::from(format!("{}.1", csv.display()));
     for p in [&dump, &csv, &csv1] {
         let _ = std::fs::remove_file(p);
     }
-    std::env::remove_var("LSQ_PROFILE");
-    std::env::set_var("LSQ_EXPERIMENTS_JSON", &dump);
-    std::env::set_var("LSQ_ACCOUNTING", "1");
-    std::env::set_var("LSQ_ACCOUNTING_CSV", format!("{}:2000", csv.display()));
+    let knobs = [
+        ("LSQ_EXPERIMENTS_JSON", dump.display().to_string()),
+        ("LSQ_ACCOUNTING", "1".to_string()),
+        ("LSQ_ACCOUNTING_CSV", format!("{}:2000", csv.display())),
+    ];
+    let options = RunOptions::parse(knobs).expect("valid knobs");
 
     let server = telemetry::global()
         .serve("127.0.0.1:0")
@@ -264,13 +227,13 @@ fn accounted_batch_flows_stacks_everywhere() {
             spec,
         })
         .collect();
-    let results = Engine::new().run_batch(&jobs);
+    let results = Engine::with_options(options).run_batch(&jobs);
 
     for r in &results {
         let stack = r
             .cpi_stack
             .as_ref()
-            .expect("LSQ_ACCOUNTING=1 attaches a stack to every fresh job");
+            .expect("accounting attaches a stack to every fresh job");
         assert_eq!(
             stack.total_slots(),
             r.cycles * stack.commit_width,
@@ -342,16 +305,10 @@ fn accounted_batch_flows_stacks_everywhere() {
 /// design point of every benchmark.
 #[test]
 fn accounting_invariant_holds_across_the_full_matrix() {
-    let _env = EnvGuard::new(&[
-        "LSQ_PROFILE",
-        "LSQ_EXPERIMENTS_JSON",
-        "LSQ_ACCOUNTING",
-        "LSQ_ACCOUNTING_CSV",
-    ]);
-    std::env::remove_var("LSQ_PROFILE");
-    std::env::remove_var("LSQ_EXPERIMENTS_JSON");
-    std::env::remove_var("LSQ_ACCOUNTING_CSV");
-    std::env::set_var("LSQ_ACCOUNTING", "1");
+    let accounted = Observers {
+        accounting: true,
+        ..Observers::default()
+    };
 
     let spec = RunSpec {
         warmup: 500,
@@ -367,7 +324,7 @@ fn accounting_invariant_holds_across_the_full_matrix() {
         LsqConfig::with_techniques(1),
         LsqConfig::segmented(SegAlloc::SelfCircular),
     ];
-    let rows = run_matrix(&cfgs, false, spec);
+    let rows = run_matrix_observed(&cfgs, false, spec, &accounted);
     assert_eq!(rows.len(), 18, "one row per benchmark");
     for (bench, results) in &rows {
         assert_eq!(results.len(), 4, "{bench}: one result per design point");

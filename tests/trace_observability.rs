@@ -6,6 +6,7 @@
 
 use lsq::isa::{Addr, ArchReg, InstrKind, Instruction, Pc, VecStream};
 use lsq::obs::{Event, Json, SampleInput, Sampler, SharedTracer, TraceBuffer, TraceConfig};
+use lsq::pipeline::NopProfiler;
 use lsq::prelude::*;
 
 /// A loop whose store's data arrives late, so the same-address load
@@ -34,7 +35,7 @@ fn traced_run(iters: u64, window: u64) -> (lsq::pipeline::SimResult, TraceBuffer
     let n = instrs.len() as u64;
     let mut stream = VecStream::new(instrs);
     let tracer = SharedTracer::new();
-    let mut sim = Simulator::with_tracer(SimConfig::default(), tracer.clone());
+    let mut sim = Simulator::with_parts(SimConfig::default(), tracer.clone(), NopProfiler);
     sim.set_sampler(Sampler::new(window));
     let r = sim.run(&mut stream, n);
     let sampler = sim.take_sampler().expect("sampler was set");
