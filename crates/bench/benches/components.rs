@@ -256,20 +256,24 @@ fn caches(c: &mut Criterion) {
 fn ring_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("ring_queue");
     g.throughput(Throughput::Elements(OPS));
-    g.bench_function("push_get_pop", |b| {
-        b.iter(|| {
-            let mut q: RingQueue<u64> = RingQueue::new(256);
-            let mut acc = 0u64;
-            for i in 0..OPS {
-                if q.is_full() {
-                    acc ^= q.pop().expect("full queue pops").1;
+    // 200 is not a power of two: the slot array rounds up to 256, so the
+    // seq → slot mapping stays a mask there too.
+    for (id, cap) in [("push_get_pop", 256), ("push_get_pop/200", 200)] {
+        g.bench_function(id, |b| {
+            b.iter(|| {
+                let mut q: RingQueue<u64> = RingQueue::new(cap);
+                let mut acc = 0u64;
+                for i in 0..OPS {
+                    if q.is_full() {
+                        acc ^= q.pop().expect("full queue pops").1;
+                    }
+                    let seq = q.push(i).expect("not full");
+                    acc ^= *q.get(seq).expect("just pushed");
                 }
-                let seq = q.push(i).expect("not full");
-                acc ^= *q.get(seq).expect("just pushed");
-            }
-            black_box(acc)
-        })
-    });
+                black_box(acc)
+            })
+        });
+    }
     g.finish();
 }
 

@@ -99,6 +99,15 @@ const FIXTURES: &[Fixture] = &[
         clean: "// lsq-lint: hot\nfn search(&mut self) { self.buf.clear(); self.buf.push(1); }\n",
     },
     Fixture {
+        rule: rules::HOT_PATH_ALLOC,
+        rel: "crates/x/src/lib.rs",
+        role: Role::Lib,
+        firing: "// lsq-lint: hot\nfn wait(&mut self, p: u64, c: u64) { \
+                 self.waiters.entry(p).or_default().push(c); }\n",
+        clean: "// lsq-lint: hot\nfn wait(&mut self, p: usize, c: u32) { \
+                self.next[c as usize] = self.head[p]; self.head[p] = c; }\n",
+    },
+    Fixture {
         rule: rules::KNOB_REGISTRY,
         rel: "crates/x/src/lib.rs",
         role: Role::Lib,

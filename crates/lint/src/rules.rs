@@ -101,8 +101,19 @@ const ALLOC_TYPES: &[&str] = &[
 ];
 /// Allocating associated functions on [`ALLOC_TYPES`].
 const ALLOC_CTORS: &[&str] = &["new", "with_capacity", "from"];
-/// Allocating (or container-cloning) method calls.
-const ALLOC_METHODS: &[&str] = &["collect", "to_vec", "to_owned", "to_string", "clone"];
+/// Allocating (or container-cloning) method calls. The map-entry
+/// inserters allocate a value (e.g. a `Vec` per new key in
+/// `.entry(k).or_default().push(v)`) and usually a table slot.
+const ALLOC_METHODS: &[&str] = &[
+    "collect",
+    "to_vec",
+    "to_owned",
+    "to_string",
+    "clone",
+    "or_default",
+    "or_insert",
+    "or_insert_with",
+];
 
 fn hot_path_alloc(f: &FileCtx, out: &mut Vec<Diagnostic>) {
     let t = &f.lexed.toks;

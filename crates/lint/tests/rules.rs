@@ -45,6 +45,9 @@ fn hot_fn_flags_macro_method_and_clone_allocs() {
         "let v: Vec<_> = it.collect();",
         "let v = it.collect::<Vec<_>>();",
         "let v = xs.to_vec();",
+        "self.waiters.entry(p).or_default().push(c);",
+        "let n = counts.entry(pc).or_insert(0);",
+        "let n = m.entry(k).or_insert_with(|| 0);",
     ] {
         let src = format!("// lsq-lint: hot\nfn search(&self) {{ {body} }}\n");
         assert_eq!(
@@ -53,6 +56,15 @@ fn hot_fn_flags_macro_method_and_clone_allocs() {
             "should fire on `{body}`"
         );
     }
+}
+
+#[test]
+fn hot_fn_without_entry_inserts_is_clean() {
+    // `unwrap_or_default` on an `Option<u32>` and in-place updates of an
+    // existing entry do not allocate.
+    let src = "// lsq-lint: hot\nfn search(&mut self, x: Option<u32>) -> u32 {\n    \
+               if let Some(v) = self.map.get_mut(&1) { *v += 1; }\n    x.unwrap_or_default()\n}\n";
+    assert!(fired_lib(src).is_empty());
 }
 
 #[test]

@@ -26,6 +26,7 @@ pub mod config;
 pub mod lifecycle;
 pub mod profile;
 pub mod result;
+mod sched;
 pub mod sim;
 
 pub use accounting::{

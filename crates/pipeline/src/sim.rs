@@ -27,15 +27,15 @@ use crate::config::SimConfig;
 use crate::lifecycle::{Lifecycle, NopLifecycle};
 use crate::profile::{NopProfiler, Phase, Profiler};
 use crate::result::SimResult;
+use crate::sched::{ReadySet, Waiters, Wheel, NIL};
 use lsq_core::{LoadIssue, Lsq, StoreDrain, StoreIssue};
 use lsq_isa::{Addr, InstrKind, Instruction, InstructionStream};
 use lsq_mem::MemoryHierarchy;
 use lsq_obs::{CpiStackSampler, Event, NopTracer, SampleInput, Sampler, SquashCause, Tracer};
 use lsq_stats::RunningMean;
 use lsq_util::rng::Xoshiro256;
-use lsq_util::{FastHashMap, RingQueue};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use lsq_util::RingQueue;
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum State {
@@ -87,6 +87,31 @@ enum FetchStall {
     IcacheMiss,
 }
 
+/// How far ahead of the current cycle, at most, a wakeup can land: a
+/// load that misses to memory, searches every store-queue segment, and
+/// pays the late-wakeup penalty, or the longest fixed execution latency,
+/// whichever is larger. Sizes the scheduler's timing wheel.
+fn wakeup_horizon(cfg: &SimConfig) -> u64 {
+    let h = &cfg.hierarchy;
+    let load = u64::from(h.l1d.hit_latency + h.l2.hit_latency + h.mem_latency)
+        + (cfg.lsq.num_segments() as u64 - 1)
+        + u64::from(cfg.late_wakeup_penalty);
+    let exec = [
+        InstrKind::IntAlu,
+        InstrKind::IntMul,
+        InstrKind::FpAlu,
+        InstrKind::FpMul,
+        InstrKind::FpDiv,
+        InstrKind::Store,
+        InstrKind::Branch,
+    ]
+    .into_iter()
+    .map(|k| u64::from(k.exec_latency()))
+    .max()
+    .unwrap_or(1);
+    load.max(exec)
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Fetched {
     gseq: u64,
@@ -133,27 +158,23 @@ pub struct Simulator<
     /// Issue-queue occupancy, maintained by both scheduler modes and
     /// used for dispatch backpressure.
     iq_len: usize,
-    /// Event scheduler: instructions whose dependencies are all
-    /// satisfied. A min-heap on seq — the issue queue is filled in
-    /// program order, so popping ascending seqs reproduces the
-    /// program-order scan of the polling scheduler exactly.
-    ready: BinaryHeap<Reverse<u64>>,
-    /// Event scheduler: completion calendar of `(wake cycle, seq)` for
-    /// instructions whose last producer has issued but whose result is
-    /// not yet available. Entries move to `ready` exactly once.
-    calendar: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Event scheduler: producer seq → consumers subscribed to its
-    /// issue (late wakeup is folded in at notification time).
-    waiters: FastHashMap<u64, Vec<u64>>,
-    /// Event scheduler: producers with a nonzero late-wakeup penalty →
-    /// consumers whose `ready_at` folded that penalty in. Retirement
-    /// makes a result architecturally visible immediately, which can
-    /// precede `complete_at + wakeup_extra`; committing such a producer
-    /// re-relaxes its consumers (see [`Self::relax_late_wakeups`]).
-    late_waiters: FastHashMap<u64, Vec<u64>>,
-    /// Scratch for resource-stalled candidates re-queued after each
-    /// issue scan.
-    deferred: Vec<u64>,
+    /// Event scheduler: ROB slots whose instruction has every operand
+    /// available. Issue scans it from the ROB head in program order —
+    /// the order of the polling scheduler's issue-queue scan — and a
+    /// resource-stalled candidate keeps its bit for the next cycle.
+    ready: ReadySet,
+    /// Event scheduler: completion calendar of seqs whose last producer
+    /// has issued but whose operands are not yet available, filed under
+    /// their `ready_at`. Each cycle moves its own bucket into `ready`.
+    wheel: Wheel,
+    /// Event scheduler: per producer slot, the consumers waiting for it
+    /// to issue. When the producer issues with a late-wakeup penalty
+    /// the list survives as its late list: consumers whose `ready_at`
+    /// folded the penalty in. Retirement makes a result architecturally
+    /// visible immediately, which can precede `complete_at +
+    /// wakeup_extra`; committing such a producer re-relaxes its late
+    /// list (see [`Self::relax_late_wakeups`]) and clears it.
+    waiters: Waiters,
     /// Reference polling scheduler (equivalence testing): when `Some`,
     /// issue re-scans this program-ordered list against the ROB every
     /// cycle, exactly like the pre-event-wakeup code, and the event
@@ -250,6 +271,8 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         // buffer (2 × fetch width); the recorder sizes its live array
         // from this so direct mapping by seq is collision-free.
         life.init(cfg.rob_entries + 2 * cfg.fetch_width + 1);
+        let rob = RingQueue::new(cfg.rob_entries);
+        let slots = rob.slot_count();
         Self {
             // lsq-lint: allow(no-unwrap-in-lib, reason = "cfg.validate() succeeded on the previous line")
             lsq: Lsq::with_tracer(cfg.lsq, tracer.clone()).expect("validated above"),
@@ -260,13 +283,11 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
             life,
             sampler: None,
             bp: HybridPredictor::new(),
-            rob: RingQueue::new(cfg.rob_entries),
+            rob,
             iq_len: 0,
-            ready: BinaryHeap::new(),
-            calendar: BinaryHeap::new(),
-            waiters: FastHashMap::default(),
-            late_waiters: FastHashMap::default(),
-            deferred: Vec::new(),
+            ready: ReadySet::new(slots),
+            wheel: Wheel::new(wakeup_horizon(&cfg)),
+            waiters: Waiters::new(slots),
             polling_iq: None,
             rename: [None; 64],
             frontend: VecDeque::new(),
@@ -654,6 +675,8 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         if e.wakeup_extra > 0 {
             self.relax_late_wakeups(seq);
         }
+        // The slot's late list (if any) is spent; the slot is reused.
+        self.waiters.clear(self.rob.slot(seq));
         debug_assert_eq!(self.replay_base, seq);
         self.replay.pop_front();
         self.replay_base += 1;
@@ -874,47 +897,47 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         } else {
             // Event mode. All execution latencies are >= 1 cycle, so no
             // instruction becomes ready mid-cycle as a consequence of
-            // this cycle's issues: the ready set is fixed once the
-            // calendar is drained, exactly as the polling scan sees it.
-            while let Some(&Reverse((at, seq))) = self.calendar.peek() {
-                if at > self.cycle {
-                    break;
+            // this cycle's issues: the ready set is fixed once this
+            // cycle's wheel bucket is drained, exactly as the polling
+            // scan sees it. An entry superseded by a late-wakeup
+            // relaxation no longer matches the instruction's `ready_at`
+            // and is dropped (the earlier replacement carries the
+            // wakeup).
+            let (cycle, rob, ready) = (self.cycle, &self.rob, &mut self.ready);
+            self.wheel.drain(cycle, |seq| match rob.get(seq) {
+                Some(e) if e.state == State::Waiting && e.ready_at == cycle => {
+                    ready.insert(rob.slot(seq));
                 }
-                self.calendar.pop();
-                // An entry superseded by a late-wakeup relaxation no
-                // longer matches the instruction's `ready_at`; drop it
-                // (the earlier replacement entry carries the wakeup).
-                match self.rob.get(seq) {
-                    Some(e) if e.state == State::Waiting && e.ready_at == at => {
-                        self.ready.push(Reverse(seq));
+                _ => {}
+            });
+            // Scan the set slots from the head's slot to the end of the
+            // slot array, then from slot 0 up to the head's: ascending
+            // seq, i.e. program order. A resource-stalled candidate
+            // keeps its bit and is retried next cycle, like the polling
+            // scan skipping and re-visiting the entry.
+            let head = self.rob.head_seq().unwrap_or(0);
+            let head_slot = self.rob.slot(head);
+            let slots = self.rob.slot_count();
+            'scan: for (from, end) in [(head_slot, slots), (0, head_slot)] {
+                let mut from = from;
+                while let Some(slot) = self.ready.next_in(from, end) {
+                    from = slot + 1;
+                    let seq = head + (slot.wrapping_sub(head_slot) & (slots - 1)) as u64;
+                    // lsq-lint: allow(no-unwrap-in-lib, reason = "the ready set holds only slots of seqs resident in the ROB")
+                    let e = *self.rob.get(seq).expect("ready entry in ROB");
+                    debug_assert_eq!(e.state, State::Waiting);
+                    debug_assert!(self.ready(&e));
+                    if self.try_issue_one(seq, &e, &mut int_left, &mut fp_left, &mut squash_request)
+                    {
+                        issued += 1;
+                        self.iq_len -= 1;
+                        self.ready.remove(slot);
+                        self.wake_dependents(seq);
+                        if squash_request.is_some() || issued == self.cfg.issue_width {
+                            break 'scan;
+                        }
                     }
-                    _ => {}
                 }
-            }
-            debug_assert!(self.deferred.is_empty());
-            while issued < self.cfg.issue_width {
-                let Some(Reverse(seq)) = self.ready.pop() else {
-                    break;
-                };
-                // lsq-lint: allow(no-unwrap-in-lib, reason = "the ready list holds only seqs resident in the ROB")
-                let e = *self.rob.get(seq).expect("ready entry in ROB");
-                debug_assert_eq!(e.state, State::Waiting);
-                debug_assert!(self.ready(&e));
-                if self.try_issue_one(seq, &e, &mut int_left, &mut fp_left, &mut squash_request) {
-                    issued += 1;
-                    self.iq_len -= 1;
-                    self.wake_dependents(seq);
-                    if squash_request.is_some() {
-                        break;
-                    }
-                } else {
-                    // Resource stall: retry next cycle, like the polling
-                    // scan skipping and re-visiting the entry.
-                    self.deferred.push(seq);
-                }
-            }
-            for seq in self.deferred.drain(..) {
-                self.ready.push(Reverse(seq));
             }
         }
         if let Some((victim, cause)) = squash_request {
@@ -930,18 +953,21 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
     fn enqueue_dispatched(&mut self, seq: u64, deps: [Option<u64>; 2]) {
         let mut pending: u8 = 0;
         let mut ready_at: u64 = 0;
-        for d in deps.iter().flatten() {
-            match self.rob.get(*d) {
+        let slot = self.rob.slot(seq);
+        for (i, d) in deps.iter().enumerate() {
+            let Some(d) = *d else { continue };
+            match self.rob.get(d) {
                 None => {} // committed: satisfied at cycle 0
                 Some(p) => match p.state {
                     State::Waiting => {
                         pending += 1;
-                        self.waiters.entry(*d).or_default().push(seq);
+                        self.waiters.push(self.rob.slot(d), slot, i, seq);
                     }
                     State::Issued => {
                         ready_at = ready_at.max(p.complete_at + u64::from(p.wakeup_extra));
                         if p.wakeup_extra > 0 {
-                            self.late_waiters.entry(*d).or_default().push(seq);
+                            // The producer's surviving list is its late list.
+                            self.waiters.push(self.rob.slot(d), slot, i, seq);
                         }
                     }
                 },
@@ -959,25 +985,33 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
     // lsq-lint: hot
     fn schedule_wakeup(&mut self, seq: u64, at: u64) {
         if at <= self.cycle {
-            self.ready.push(Reverse(seq));
+            self.ready.insert(self.rob.slot(seq));
         } else {
-            self.calendar.push(Reverse((at, seq)));
+            self.wheel.schedule(self.cycle, at, seq);
         }
     }
 
     /// Notifies consumers that `producer` issued. Consumers whose last
-    /// pending producer this was get a calendar entry at the cycle all
-    /// their operands are available (late wakeup included).
+    /// pending producer this was get a wheel entry at the cycle all
+    /// their operands are available (late wakeup included). The list
+    /// survives as the late list only if the producer pays a late-wakeup
+    /// penalty.
     // lsq-lint: hot
     fn wake_dependents(&mut self, producer: u64) {
-        let Some(consumers) = self.waiters.remove(&producer) else {
+        let pslot = self.rob.slot(producer);
+        let mut node = self.waiters.first(pslot);
+        if node == NIL {
             return;
-        };
+        }
         // lsq-lint: allow(no-unwrap-in-lib, reason = "dependence edges reference only in-flight producers")
         let p = self.rob.get(producer).expect("producer resident");
         let avail = p.complete_at + u64::from(p.wakeup_extra);
-        let late = p.wakeup_extra > 0;
-        for &c in &consumers {
+        if p.wakeup_extra == 0 {
+            self.waiters.clear(pslot);
+        }
+        while node != NIL {
+            let c = self.waiters.consumer(node);
+            node = self.waiters.next(node);
             // lsq-lint: allow(no-unwrap-in-lib, reason = "the consumer list holds only in-flight seqs")
             let e = self.rob.get_mut(c).expect("consumer resident");
             e.pending_deps -= 1;
@@ -986,10 +1020,10 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
                 continue;
             }
             let at = e.ready_at;
+            // Issue latencies are at least one cycle, so nothing woken
+            // during the issue scan joins this cycle's ready set.
+            debug_assert!(at > self.cycle, "same-cycle wakeup during the issue scan");
             self.schedule_wakeup(c, at);
-        }
-        if late {
-            self.late_waiters.insert(producer, consumers);
         }
     }
 
@@ -1003,10 +1037,10 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
     /// stale at drain time because it no longer matches `ready_at`.
     // lsq-lint: hot
     fn relax_late_wakeups(&mut self, producer: u64) {
-        let Some(consumers) = self.late_waiters.remove(&producer) else {
-            return;
-        };
-        for c in consumers {
+        let mut node = self.waiters.first(self.rob.slot(producer));
+        while node != NIL {
+            let c = self.waiters.consumer(node);
+            node = self.waiters.next(node);
             let Some(e) = self.rob.get(c) else { continue };
             if e.state != State::Waiting {
                 continue;
@@ -1228,32 +1262,30 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
                 penalty,
             });
         }
+        let old_tail = self.rob.next_seq();
         let removed = self.rob.truncate_from(victim);
         self.instructions_squashed += removed as u64;
         if let Some(iq) = &mut self.polling_iq {
             iq.retain(|&s| s < victim);
             self.iq_len = iq.len();
         } else {
-            // Sequence numbers are reused after a squash, so squashed
-            // entries must be scrubbed eagerly from every scheduling
-            // structure; lazy deletion would confuse old entries with
-            // re-fetched instructions carrying the same seq.
-            self.ready.retain(|&Reverse(s)| s < victim);
-            self.calendar.retain(|&Reverse((_, s))| s < victim);
-            self.waiters.retain(|&p, consumers| {
-                if p >= victim {
-                    return false;
+            // Sequence numbers and slots are reused after a squash, so
+            // squashed entries must be scrubbed eagerly from every
+            // scheduling structure; lazy deletion would confuse old
+            // entries with re-fetched instructions carrying the same seq.
+            for seq in old_tail - removed as u64..old_tail {
+                let slot = self.rob.slot(seq);
+                self.ready.remove(slot);
+                self.waiters.clear(slot);
+            }
+            self.wheel.retain_below(victim);
+            // Surviving producers keep their older consumers; the
+            // squashed ones sit at the front of each youngest-first list.
+            if let Some(head) = self.rob.head_seq() {
+                for seq in head..self.rob.next_seq() {
+                    self.waiters.trim(self.rob.slot(seq), victim);
                 }
-                consumers.retain(|&c| c < victim);
-                !consumers.is_empty()
-            });
-            self.late_waiters.retain(|&p, consumers| {
-                if p >= victim {
-                    return false;
-                }
-                consumers.retain(|&c| c < victim);
-                !consumers.is_empty()
-            });
+            }
             self.iq_len = self
                 .rob
                 .iter()
@@ -1342,7 +1374,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
 #[allow(clippy::field_reassign_with_default)] // tests mutate one field of a default config
 mod tests {
     use super::*;
-    use lsq_core::{LoadOrderPolicy, LsqConfig, PredictorKind};
+    use lsq_core::{LoadOrderPolicy, LsqConfig, PredictorKind, SegAlloc, SegConfig};
     use lsq_isa::{ArchReg, Pc, VecStream};
 
     fn run_instrs(cfg: SimConfig, instrs: Vec<Instruction>) -> SimResult {
@@ -1745,6 +1777,82 @@ mod tests {
         let instrs: Vec<Instruction> = (0..100).map(|i| alu(0x1000 + i * 4)).collect();
         let r = run_instrs(SimConfig::default(), instrs);
         assert!(r.cpi_stack.is_none());
+    }
+
+    /// The farthest wakeup the timing wheel must hold: a load in the
+    /// youngest LQ segment whose forwarding search walks every SQ
+    /// segment without a match, misses to memory, and so also pays the
+    /// late-wakeup penalty. Its consumer wakes exactly `horizon` cycles
+    /// after the load issues; a wheel one cycle shorter would panic.
+    #[test]
+    fn youngest_segment_memory_miss_wakes_at_the_wheel_horizon() {
+        let mut cfg = SimConfig::default();
+        cfg.lsq.segmentation = Some(SegConfig {
+            segments: 4,
+            entries_per_segment: 2,
+            alloc: SegAlloc::SelfCircular,
+        });
+        let horizon = wakeup_horizon(&cfg);
+        let h = cfg.hierarchy;
+        assert_eq!(
+            horizon,
+            u64::from(h.l1d.hit_latency + h.l2.hit_latency + h.mem_latency)
+                + 3
+                + u64::from(cfg.late_wakeup_penalty)
+        );
+        let (r1, r2) = (ArchReg::int(1), ArchReg::int(2));
+        // A missing root load holds back 7 stores (SQ segments 0-3) and
+        // 6 loads (LQ segments 0-3) that depend on it.
+        let mut instrs = vec![Instruction::load(Pc(0x1000), Addr(0x10_0000)).with_dst(r1)];
+        for i in 0..7 {
+            instrs.push(Instruction::store(Pc(0x1004 + 4 * i), Addr(0x2000 + 8 * i)).with_src(r1));
+        }
+        for i in 0..6 {
+            instrs.push(Instruction::load(Pc(0x1020 + 4 * i), Addr(0x3000 + 8 * i)).with_src(r1));
+        }
+        let target = instrs.len() as u64;
+        instrs.push(Instruction::load(Pc(0x1040), Addr(0x80_0000)).with_dst(r2));
+        instrs.push(alu(0x1044).with_src(r2));
+        let n = instrs.len() as u64;
+        let mut stream = VecStream::new(instrs);
+        let penalty = cfg.late_wakeup_penalty;
+        let mut sim = Simulator::new(cfg);
+        // A warm i-cache fetches the whole block of code back to back.
+        sim.prewarm(&[], (0x1000, 0x100));
+        let issued_at = |sim: &Simulator, seq: u64| {
+            sim.rob
+                .get(seq)
+                .is_some_and(|e| e.state == State::Issued)
+                .then_some(sim.cycle)
+        };
+        let load_issue = loop {
+            sim.step(&mut stream);
+            assert!(sim.cycle < 1_000, "the target load never issued");
+            if let Some(c) = issued_at(&sim, target) {
+                break c;
+            }
+        };
+        let e = *sim.rob.get(target).unwrap();
+        assert_eq!(
+            sim.lsq.stats().seg_search_hist.bucket(3),
+            1,
+            "searched all 4 segments"
+        );
+        assert_eq!(e.wakeup_extra, penalty);
+        assert_eq!(
+            e.complete_at + u64::from(e.wakeup_extra) - load_issue,
+            horizon
+        );
+        let consumer_issue = loop {
+            sim.step(&mut stream);
+            if let Some(c) = issued_at(&sim, target + 1) {
+                break c;
+            }
+        };
+        assert_eq!(consumer_issue - load_issue, horizon);
+        let r = sim.run(&mut stream, n - sim.committed);
+        assert_eq!(r.committed, n);
+        assert!(!r.hit_cycle_cap);
     }
 
     #[test]

@@ -13,6 +13,12 @@
 /// on; sequence numbers are never reused even after pops (they model an
 /// instruction's dynamic age). Squashing truncates the youngest entries.
 ///
+/// The slot array is rounded up to a power of two so a sequence number
+/// maps to its slot with a mask, not a division; [`Self::slot`] exposes
+/// that mapping so side arrays indexed by slot (the scheduler's ready
+/// bitmap and waiter lists) share it. The logical capacity is unchanged:
+/// the extra slots are never occupied.
+///
 /// # Examples
 ///
 /// ```
@@ -28,7 +34,13 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct RingQueue<T> {
+    /// `capacity.next_power_of_two()` slots; only `capacity` are ever
+    /// occupied at once.
     slots: Vec<Option<T>>,
+    /// `slots.len() - 1`: maps a sequence number to its slot.
+    mask: u64,
+    /// Most elements held at once.
+    capacity: usize,
     /// Sequence number of the head (oldest) element.
     head: u64,
     /// Sequence number the next push will receive.
@@ -43,8 +55,11 @@ impl<T> RingQueue<T> {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "RingQueue capacity must be non-zero");
+        let slot_count = capacity.next_power_of_two();
         Self {
-            slots: (0..capacity).map(|_| None).collect(),
+            slots: (0..slot_count).map(|_| None).collect(),
+            mask: slot_count as u64 - 1,
+            capacity,
             head: 0,
             tail: 0,
         }
@@ -65,13 +80,13 @@ impl<T> RingQueue<T> {
     /// Whether the queue is at capacity.
     #[inline]
     pub fn is_full(&self) -> bool {
-        self.len() == self.slots.len()
+        self.len() == self.capacity
     }
 
     /// Total capacity.
     #[inline]
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Free slots remaining.
@@ -92,9 +107,19 @@ impl<T> RingQueue<T> {
         self.tail
     }
 
+    /// Number of slots: the capacity rounded up to a power of two.
+    /// Every [`Self::slot`] value is below it.
     #[inline]
-    fn slot_of(&self, seq: u64) -> usize {
-        (seq % self.slots.len() as u64) as usize
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The slot that holds (or would hold) sequence number `seq`. Live
+    /// sequence numbers never share a slot, because at most `capacity`
+    /// consecutive ones are live and the slot count is at least that.
+    #[inline]
+    pub fn slot(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
     }
 
     /// Pushes an element at the tail, returning its sequence number, or
@@ -105,7 +130,7 @@ impl<T> RingQueue<T> {
             return None;
         }
         let seq = self.tail;
-        let slot = self.slot_of(seq);
+        let slot = self.slot(seq);
         debug_assert!(self.slots[slot].is_none());
         self.slots[slot] = Some(value);
         self.tail += 1;
@@ -118,7 +143,7 @@ impl<T> RingQueue<T> {
             return None;
         }
         let seq = self.head;
-        let slot = self.slot_of(seq);
+        let slot = self.slot(seq);
         // lsq-lint: allow(no-unwrap-in-lib, reason = "the head slot is occupied whenever len > 0, checked above")
         let value = self.slots[slot].take().expect("head slot occupied");
         self.head += 1;
@@ -131,7 +156,7 @@ impl<T> RingQueue<T> {
         if seq < self.head || seq >= self.tail {
             return None;
         }
-        self.slots[self.slot_of(seq)].as_ref()
+        self.slots[self.slot(seq)].as_ref()
     }
 
     /// Returns a mutable reference to the element with sequence number
@@ -140,7 +165,7 @@ impl<T> RingQueue<T> {
         if seq < self.head || seq >= self.tail {
             return None;
         }
-        let slot = self.slot_of(seq);
+        let slot = self.slot(seq);
         self.slots[slot].as_mut()
     }
 
@@ -158,7 +183,7 @@ impl<T> RingQueue<T> {
         }
         let removed = (self.tail - from) as usize;
         for seq in from..self.tail {
-            let slot = self.slot_of(seq);
+            let slot = self.slot(seq);
             self.slots[slot] = None;
         }
         self.tail = from;
@@ -170,7 +195,7 @@ impl<T> RingQueue<T> {
         (self.head..self.tail).map(move |seq| {
             (
                 seq,
-                self.slots[self.slot_of(seq)]
+                self.slots[self.slot(seq)]
                     .as_ref()
                     // lsq-lint: allow(no-unwrap-in-lib, reason = "iteration stays within the live range, whose slots are all occupied")
                     .expect("occupied slot in live range"),
@@ -181,16 +206,16 @@ impl<T> RingQueue<T> {
     /// Iterates over `(sequence, &mut element)` pairs oldest → youngest.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
         let head = self.head;
-        let cap = self.slots.len() as u64;
+        let mask = self.mask;
         let len = self.len();
         // Split via raw pointer: sequence→slot mapping never aliases within
-        // head..tail because len <= capacity.
+        // head..tail because len <= capacity <= slot count.
         let base = self.slots.as_mut_ptr();
         (0..len).map(move |i| {
             let seq = head + i as u64;
-            let slot = (seq % cap) as usize;
+            let slot = (seq & mask) as usize;
             // SAFETY: each slot index in head..tail is distinct (len <=
-            // capacity) so we hand out at most one &mut per slot, and the
+            // slot count) so we hand out at most one &mut per slot, and the
             // iterator borrows self mutably for its whole lifetime.
             // lsq-lint: allow(no-unwrap-in-lib, reason = "live-range slots are occupied (same invariant the unsafe block documents)")
             let r = unsafe { (*base.add(slot)).as_mut().expect("occupied slot") };
@@ -330,6 +355,76 @@ mod tests {
         q.push(5);
         assert_eq!(q.head_seq(), Some(0));
         assert_eq!(q.front(), Some(&5));
+    }
+
+    /// Capacities that are (1) and are not (3, 200) powers of two: the
+    /// slot array rounds up, but every logical query keeps the capacity.
+    #[test]
+    fn non_power_of_two_capacities_keep_logical_bounds() {
+        for cap in [1usize, 3, 200] {
+            let mut q = RingQueue::new(cap);
+            assert_eq!(q.capacity(), cap);
+            assert!(q.slot_count().is_power_of_two() && q.slot_count() >= cap);
+            assert_eq!(q.free(), cap);
+            // Cycle through several laps so live ranges straddle the end
+            // of the slot array.
+            let mut next = 0u64;
+            for lap in 0..5u64 {
+                while !q.is_full() {
+                    assert_eq!(q.push(next), Some(next));
+                    next += 1;
+                }
+                assert_eq!(q.len(), cap);
+                assert_eq!(q.free(), 0);
+                assert_eq!(
+                    q.push(u64::MAX),
+                    None,
+                    "cap {cap}: full queue accepts a push"
+                );
+                let head = q.head_seq().unwrap();
+                for seq in head..next {
+                    assert_eq!(q.get(seq), Some(&seq), "cap {cap} lap {lap} seq {seq}");
+                }
+                assert_eq!(q.get(next), None);
+                let pops = 1 + (lap as usize % cap);
+                for _ in 0..pops {
+                    let (s, v) = q.pop().unwrap();
+                    assert_eq!(s, v);
+                }
+                assert_eq!(q.free(), pops);
+                if head > 0 {
+                    assert_eq!(q.get(head - 1), None, "popped seqs are gone");
+                }
+            }
+            while !q.is_full() {
+                q.push(next);
+                next += 1;
+            }
+            // Live seqs occupy distinct slots.
+            let head = q.head_seq().unwrap();
+            let mut slots: Vec<usize> = (head..next).map(|s| q.slot(s)).collect();
+            slots.sort_unstable();
+            slots.dedup();
+            assert_eq!(slots.len(), q.len());
+            // Squash the younger half (at least one entry) and refill.
+            let from = next - (q.len() as u64).div_ceil(2);
+            let removed = q.truncate_from(from);
+            assert_eq!(removed as u64, next - from);
+            assert_eq!(q.get(from), None);
+            assert_eq!(q.free(), removed);
+            next = from;
+            while !q.is_full() {
+                assert_eq!(q.push(next), Some(next));
+                next += 1;
+            }
+            for (seq, v) in q.iter_mut() {
+                assert_eq!(seq, *v);
+                *v += 1000;
+            }
+            let seen: Vec<(u64, u64)> = q.iter().map(|(s, v)| (s, *v)).collect();
+            let want: Vec<(u64, u64)> = (next - cap as u64..next).map(|s| (s, s + 1000)).collect();
+            assert_eq!(seen, want, "cap {cap}");
+        }
     }
 
     #[test]

@@ -7,11 +7,14 @@
 //! least one cycle, so no instruction becomes ready as a consequence of
 //! a same-cycle issue — the set of ready instructions is fixed when the
 //! cycle starts. The polling scan visits that set in program order; the
-//! event scheduler pops a min-heap keyed by sequence number, which
-//! yields the same order. Resource-stalled candidates are deferred and
-//! re-queued, matching the scan's skip-and-revisit. These tests pin
+//! event scheduler scans a ready bitmap over ROB slots from the ROB
+//! head, which yields the same order. Resource-stalled candidates keep
+//! their bit, matching the scan's skip-and-revisit. These tests pin
 //! that equivalence across the design points that stress every issue
-//! path: forwarding, squashes, the load buffer, and segmented search.
+//! path: forwarding, squashes, the load buffer, and segmented search,
+//! and across processor shapes that stress the scheduler's own
+//! structures: ROBs that are not a power of two or are smaller than one
+//! ready-bitmap word, squash storms, and the 12-wide scaled core.
 
 use lsq::core::{LsqConfig, PredictorKind, SegAlloc};
 use lsq::experiments::runner::diff_results;
@@ -28,9 +31,14 @@ const INSTRS: u64 = 10_000;
 /// Runs `bench` × `lsq_cfg` with warm-up differencing, with either the
 /// event scheduler (default) or the reference polling scheduler.
 fn run(bench: &str, lsq_cfg: LsqConfig, polling: bool) -> SimResult {
+    run_sim(bench, SimConfig::with_lsq(lsq_cfg), polling)
+}
+
+/// Like [`run`], for a whole processor configuration.
+fn run_sim(bench: &str, cfg: SimConfig, polling: bool) -> SimResult {
     let profile = BenchProfile::named(bench).expect("known benchmark");
     let mut stream = profile.stream(1);
-    let mut sim = Simulator::new(SimConfig::with_lsq(lsq_cfg));
+    let mut sim = Simulator::new(cfg);
     if polling {
         sim.set_reference_scheduler();
     }
@@ -219,4 +227,59 @@ fn mcf_schedulers_agree() {
 #[test]
 fn mgrid_schedulers_agree() {
     assert_equivalent("mgrid");
+}
+
+/// Processor shapes that exercise the event scheduler's slot-indexed
+/// structures rather than the LSQ: a ROB whose slot array is rounded up
+/// (200 → 256 slots), a ROB smaller than one 64-bit bitmap word, a
+/// squash storm (coherence invalidations plus load-load squashes, which
+/// scrub the wheel, the bitmap and the waiter lists), and the 12-wide
+/// scaled processor.
+fn scheduler_shapes() -> Vec<(&'static str, SimConfig)> {
+    let segmented = LsqConfig::segmented(SegAlloc::SelfCircular);
+    let mut rob200 = SimConfig::with_lsq(LsqConfig::with_techniques(1));
+    rob200.rob_entries = 200;
+    let mut rob24 = SimConfig::with_lsq(segmented);
+    rob24.rob_entries = 24;
+    rob24.iq_entries = 16;
+    let mut squashy = SimConfig::with_lsq(LsqConfig {
+        load_load_squash: true,
+        ..LsqConfig::default()
+    });
+    squashy.invalidation_rate = 0.05;
+    vec![
+        ("rob200", rob200),
+        ("rob24", rob24),
+        ("squash-storm", squashy),
+        ("scaled", SimConfig::scaled(segmented)),
+    ]
+}
+
+#[test]
+fn scheduler_shapes_agree() {
+    let mut load_load = 0;
+    for bench in ["parser", "mgrid"] {
+        for (label, cfg) in scheduler_shapes() {
+            let event = run_sim(bench, cfg.clone(), false);
+            let polling = run_sim(bench, cfg, true);
+            assert_eq!(
+                format!("{event:?}"),
+                format!("{polling:?}"),
+                "{bench}/{label}: event scheduler diverged from polling reference"
+            );
+            assert!(event.committed >= INSTRS, "{bench}/{label}: run too short");
+            if label == "squash-storm" {
+                assert!(
+                    event.violation_squashes > 100,
+                    "{bench}/{label}: only {} squashes",
+                    event.violation_squashes
+                );
+                load_load += event.lsq.load_load_violations;
+            }
+        }
+    }
+    assert!(
+        load_load > 0,
+        "the squash storm never squashed a load-load pair"
+    );
 }
