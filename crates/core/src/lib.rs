@@ -47,5 +47,5 @@ pub use config::{ConfigError, LoadOrderPolicy, LsqConfig, PredictorKind, SegAllo
 pub use load_buffer::{LbIssue, LoadBuffer};
 pub use lsq::{LoadIssue, LoadIssued, Lsq, StoreDrain, StoreIssue};
 pub use segmented::{Placement, PortBook, SegmentedAlloc};
-pub use stats::LsqStats;
+pub use stats::{LsqStats, StickyStalls};
 pub use store_set::{LoadPrediction, Ssid, StoreSetPredictor};

@@ -53,7 +53,7 @@
 use crate::config::{ConfigError, LsqConfig, PredictorKind};
 use crate::load_buffer::{LbIssue, LoadBuffer};
 use crate::segmented::{Placement, PortBook, SegmentedAlloc};
-use crate::stats::LsqStats;
+use crate::stats::{LsqStats, StickyStalls};
 use crate::store_set::{Ssid, StoreSetPredictor};
 use lsq_isa::{Addr, Pc};
 use lsq_obs::{Event, MemOp, NopTracer, QueueSide, Tracer};
@@ -73,6 +73,27 @@ pub enum LoadIssue {
     LbFull,
     /// The load issued.
     Issued(LoadIssued),
+}
+
+impl LoadIssue {
+    /// Whether this outcome is a stall that every retry repeats, with
+    /// the same counter increment, until the queues change by a
+    /// dispatch, issue, retirement, drain or squash. A store-set wait
+    /// ends when its store issues or is squashed; an in-order stall when an
+    /// older load issues or a squash removes it; a full load buffer
+    /// when a load issues, commits or is squashed. The load-buffer check
+    /// comes after the port checks, so it also relies on the ports the
+    /// load passed staying free: true once nothing is booked beyond the
+    /// current cycle (see [`Lsq::ports_booked_ahead`]). Port stalls are
+    /// never sticky: ports free up as cycles pass.
+    // lsq-lint: hot
+    #[inline]
+    pub fn is_sticky(&self) -> bool {
+        matches!(
+            self,
+            LoadIssue::WaitStore(_) | LoadIssue::InOrderStall | LoadIssue::LbFull
+        )
+    }
 }
 
 /// Details of a successful load issue.
@@ -399,6 +420,26 @@ impl<T: Tracer> Lsq<T> {
     pub fn begin_cycle(&mut self) {
         self.lq_ports.begin_cycle();
         self.sq_ports.begin_cycle();
+    }
+
+    /// Whether a search port of either queue is booked for a cycle after
+    /// the current one, by a multi-segment search under way. O(1): it
+    /// reads the port books' reservation horizons.
+    // lsq-lint: hot
+    #[inline]
+    pub fn ports_booked_ahead(&self) -> bool {
+        self.lq_ports.horizon() > 1 || self.sq_ports.horizon() > 1
+    }
+
+    /// Counts `stalls` again, for a cycle that repeats a cycle whose
+    /// only LSQ outcomes were those sticky stalls (see
+    /// [`LoadIssue::is_sticky`]).
+    // lsq-lint: hot
+    #[inline]
+    pub fn repeat_sticky_stalls(&mut self, stalls: StickyStalls) {
+        self.stats.store_set_waits += stalls.store_set_waits;
+        self.stats.in_order_stalls += stalls.in_order_stalls;
+        self.stats.lb_full_stalls += stalls.lb_full_stalls;
     }
 
     // ------------------------------------------------------------------
@@ -1441,6 +1482,73 @@ mod tests {
         issue_load(&mut l, 0);
         l.begin_cycle();
         issue_load(&mut l, 3);
+    }
+
+    #[test]
+    fn sticky_stalls_repeat_and_are_counted_again() {
+        let mut cfg = LsqConfig::default();
+        cfg.load_order = LoadOrderPolicy::LoadBuffer(2);
+        cfg.ports = 4;
+        let mut l = lsq(cfg);
+        l.begin_cycle();
+        for s in 0..4 {
+            disp_load(&mut l, s, 0x100 + s * 64);
+        }
+        issue_load(&mut l, 1);
+        issue_load(&mut l, 2);
+        let before = l.stats().sticky_stalls();
+        let stall = l.load_issue(3);
+        assert_eq!(stall, LoadIssue::LbFull);
+        assert!(stall.is_sticky());
+        let delta = l.stats().sticky_stalls().since(before);
+        assert_eq!(
+            delta,
+            StickyStalls {
+                lb_full_stalls: 1,
+                ..StickyStalls::default()
+            }
+        );
+        // The retry next cycle repeats the stall exactly...
+        l.begin_cycle();
+        assert_eq!(l.load_issue(3), LoadIssue::LbFull);
+        assert_eq!(l.stats().sticky_stalls().since(before).lb_full_stalls, 2);
+        // ...so a cycle known to repeat it can count it instead.
+        l.repeat_sticky_stalls(delta);
+        assert_eq!(l.stats().lb_full_stalls, 3);
+        assert!(!LoadIssue::NoSqPort.is_sticky() && !LoadIssue::NoLqPort.is_sticky());
+    }
+
+    #[test]
+    fn ports_booked_ahead_until_a_multi_segment_search_ends() {
+        let mut cfg = LsqConfig::default();
+        cfg.segmentation = Some(SegConfig {
+            segments: 4,
+            entries_per_segment: 4,
+            alloc: SegAlloc::NoSelfCircular,
+        });
+        let mut l = lsq(cfg);
+        l.begin_cycle();
+        disp_store(&mut l, 0, 0x100);
+        for s in 1..8 {
+            disp_store(&mut l, s, 0x1000 + s * 64);
+        }
+        for s in 0..8 {
+            assert!(matches!(l.store_issue(s), StoreIssue::Issued { .. }));
+            assert!(
+                !l.ports_booked_ahead(),
+                "an empty LQ is searched in one cycle"
+            );
+            l.begin_cycle();
+        }
+        disp_load(&mut l, 8, 0x100);
+        assert_eq!(
+            issue_load(&mut l, 8).extra_cycles,
+            1,
+            "a two-segment search"
+        );
+        assert!(l.ports_booked_ahead());
+        l.begin_cycle();
+        assert!(!l.ports_booked_ahead(), "its last segment is searched now");
     }
 
     #[test]

@@ -177,10 +177,17 @@ impl SegmentedAlloc {
 /// `window[offset][segment]` counts ports already booked for cycle
 /// `now + offset` in that segment. The window is as deep as the segment
 /// chain, the longest possible pipelined search.
+///
+/// The book also keeps its reservation horizon: the number of leading
+/// rows that may hold a booking, i.e. one past the farthest booked
+/// offset, and 0 when nothing is booked. It is a counter, raised by a
+/// booking and lowered by each cycle, so asking whether anything is
+/// booked for a later cycle is O(1).
 #[derive(Debug, Clone)]
 pub struct PortBook {
     ports: usize,
     window: VecDeque<Vec<usize>>,
+    horizon: usize,
 }
 
 impl PortBook {
@@ -198,18 +205,34 @@ impl PortBook {
         Self {
             ports,
             window: (0..segments).map(|_| vec![0; segments]).collect(),
+            horizon: 0,
         }
     }
 
     /// Advances to the next cycle: reservations for the old current cycle
     /// expire and a fresh farthest-future cycle opens. The expired row is
     /// recycled as the new one, so this runs every simulated cycle without
-    /// allocating.
+    /// allocating; an empty book has nothing to shift.
+    // lsq-lint: hot
     pub fn begin_cycle(&mut self) {
+        if self.horizon == 0 {
+            return;
+        }
+        self.horizon -= 1;
         // lsq-lint: allow(no-unwrap-in-lib, reason = "the sliding window always holds at least the current segment row")
         let mut row = self.window.pop_front().expect("window is never empty");
         row.fill(0);
         self.window.push_back(row);
+    }
+
+    /// The reservation horizon: one past the farthest cycle offset that
+    /// may hold a booking (0 = nothing booked, 1 = only the current
+    /// cycle). A search of `k` segments raises it to at least `k`, and
+    /// each [`Self::begin_cycle`] lowers it by one.
+    // lsq-lint: hot
+    #[inline]
+    pub(crate) fn horizon(&self) -> usize {
+        self.horizon
     }
 
     /// Ports still free in `segment` this cycle.
@@ -258,6 +281,7 @@ impl PortBook {
         for (offset, &seg) in path.iter().enumerate() {
             self.window[offset][seg] += 1;
         }
+        self.horizon = self.horizon.max(path.len());
     }
 
     /// Attempts to book a pipelined search touching `path[i]` at cycle
@@ -283,6 +307,7 @@ impl PortBook {
         for cycle in &mut self.window {
             cycle.fill(0);
         }
+        self.horizon = 0;
     }
 }
 
@@ -504,6 +529,29 @@ mod tests {
             b.begin_cycle();
             // Both ports of segment 1 are taken by the arriving stores.
             assert!(!b.try_book(&[1]));
+        }
+
+        #[test]
+        fn three_segment_booking_holds_the_horizon_for_two_cycles() {
+            let mut b = PortBook::new(4, 1);
+            assert_eq!(b.horizon(), 0);
+            b.begin_cycle();
+            assert_eq!(b.horizon(), 0, "an empty book stays empty");
+            assert!(b.try_book(&[2, 1, 0]));
+            assert!(b.try_book(&[3]));
+            assert_eq!(b.horizon(), 3);
+            b.begin_cycle();
+            assert_eq!(b.horizon(), 2);
+            assert!(!b.slot_free(0, 1), "offset 1 became the current cycle");
+            b.begin_cycle();
+            assert_eq!(b.horizon(), 1);
+            assert!(!b.slot_free(0, 0));
+            b.begin_cycle();
+            assert_eq!(b.horizon(), 0, "the booking has fully expired");
+            assert!((0..4).all(|off| (0..4).all(|seg| b.slot_free(off, seg))));
+            assert!(b.try_book(&[1, 2]));
+            b.clear();
+            assert_eq!(b.horizon(), 0);
         }
 
         #[test]

@@ -136,6 +136,46 @@ impl LsqStats {
     pub fn seg_search_fraction(&self, k: usize) -> f64 {
         self.seg_search_hist.fraction(k)
     }
+
+    /// The counters of the sticky issue stalls.
+    // lsq-lint: hot
+    #[inline]
+    pub fn sticky_stalls(&self) -> StickyStalls {
+        StickyStalls {
+            store_set_waits: self.store_set_waits,
+            in_order_stalls: self.in_order_stalls,
+            lb_full_stalls: self.lb_full_stalls,
+        }
+    }
+}
+
+/// The counters of the issue stalls that repeat unchanged, retry after
+/// retry, until the queues themselves change (see
+/// [`crate::LoadIssue::is_sticky`]). Snapshots taken around a cycle's
+/// issue stage difference to that cycle's stalls, which
+/// [`crate::Lsq::repeat_sticky_stalls`] adds again for a cycle known to
+/// repeat it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StickyStalls {
+    /// See [`LsqStats::store_set_waits`].
+    pub store_set_waits: u64,
+    /// See [`LsqStats::in_order_stalls`].
+    pub in_order_stalls: u64,
+    /// See [`LsqStats::lb_full_stalls`].
+    pub lb_full_stalls: u64,
+}
+
+impl StickyStalls {
+    /// The stalls counted between the `earlier` snapshot and this one.
+    // lsq-lint: hot
+    #[inline]
+    pub fn since(self, earlier: Self) -> Self {
+        Self {
+            store_set_waits: self.store_set_waits - earlier.store_set_waits,
+            in_order_stalls: self.in_order_stalls - earlier.in_order_stalls,
+            lb_full_stalls: self.lb_full_stalls - earlier.lb_full_stalls,
+        }
+    }
 }
 
 #[cfg(test)]

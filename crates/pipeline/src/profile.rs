@@ -16,6 +16,13 @@
 //! therefore approximates a cycle's cost; the nested phases attribute
 //! it. Commit-time violation searches performed by store drains are
 //! charged to [`Phase::Commit`] only.
+//!
+//! A cycle the simulator fast-forwards (the idle-cycle fast path of
+//! DESIGN.md §4: nothing can happen until a wakeup, a completion, or
+//! fetch resuming) runs only the per-cycle bookkeeping and is timed
+//! only as [`Phase::SegmentAdvance`]. Phase shares therefore describe
+//! the cycles run in full, and `segment_advance` calls minus
+//! `wakeup_issue` calls count the fast-forwarded cycles.
 
 use lsq_obs::Json;
 

@@ -97,6 +97,15 @@ impl Wheel {
         self.buckets[(at & self.mask) as usize].push(seq);
     }
 
+    /// Whether nothing is filed for cycle `now`. Only meaningful for a
+    /// cycle whose bucket has not been drained yet (the bucket also
+    /// serves every cycle a multiple of the wheel size away).
+    // lsq-lint: hot
+    #[inline]
+    pub(crate) fn is_empty_at(&self, now: u64) -> bool {
+        self.buckets[(now & self.mask) as usize].is_empty()
+    }
+
     /// Hands every seq filed for cycle `now` to `f` and empties the
     /// bucket.
     // lsq-lint: hot
@@ -246,6 +255,20 @@ mod tests {
             w.drain(now, |s| got.push((now, s)));
         }
         assert_eq!(got, vec![(20, 4)]);
+    }
+
+    #[test]
+    fn wheel_is_empty_at_reports_each_cycle_bucket() {
+        let mut w = Wheel::new(5);
+        assert!((10..20).all(|now| w.is_empty_at(now)));
+        w.schedule(10, 13, 7);
+        assert!(w.is_empty_at(11) && w.is_empty_at(12));
+        assert!(!w.is_empty_at(13));
+        w.drain(13, |_| {});
+        assert!(w.is_empty_at(13), "draining empties the bucket");
+        w.schedule(10, 15, 8);
+        w.retain_below(8);
+        assert!(w.is_empty_at(15), "a squash scrub empties the bucket");
     }
 
     #[test]

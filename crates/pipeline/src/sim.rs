@@ -28,7 +28,7 @@ use crate::lifecycle::{Lifecycle, NopLifecycle};
 use crate::profile::{NopProfiler, Phase, Profiler};
 use crate::result::SimResult;
 use crate::sched::{ReadySet, Waiters, Wheel, NIL};
-use lsq_core::{LoadIssue, Lsq, StoreDrain, StoreIssue};
+use lsq_core::{LoadIssue, Lsq, StickyStalls, StoreDrain, StoreIssue};
 use lsq_isa::{Addr, InstrKind, Instruction, InstructionStream};
 use lsq_mem::MemoryHierarchy;
 use lsq_obs::{CpiStackSampler, Event, NopTracer, SampleInput, Sampler, SquashCause, Tracer};
@@ -110,6 +110,17 @@ fn wakeup_horizon(cfg: &SimConfig) -> u64 {
     .max()
     .unwrap_or(1);
     load.max(exec)
+}
+
+/// What an idle cycle did: the sticky LSQ stalls it counted and the
+/// stall records it left for cycle accounting. Until a trigger fires,
+/// every following cycle does exactly the same (see
+/// [`Simulator::step`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct IdleCycle {
+    stalls: StickyStalls,
+    head_stall: Option<(u64, Component)>,
+    dispatch_stall: Option<Component>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -195,6 +206,13 @@ pub struct Simulator<
     cur_fetch_block: Option<u64>,
     cycle: u64,
     dcache_used: usize,
+    /// Whether anything happened this cycle: set at every site that
+    /// commits, drains, issues, wakes, dispatches, fetches, squashes or
+    /// hits a stall other than a sticky one; cleared as a cycle starts.
+    active: bool,
+    /// The last fully run cycle, if it was idle: what each following
+    /// cycle replays until a trigger fires.
+    idle: Option<IdleCycle>,
     stream_done: bool,
     /// Deterministic source for coherence-invalidation injection.
     coherence_rng: Xoshiro256,
@@ -299,6 +317,8 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
             cur_fetch_block: None,
             cycle: 0,
             dcache_used: 0,
+            active: false,
+            idle: None,
             stream_done: false,
             coherence_rng: Xoshiro256::seed_from_u64(0xC0_4E_0E_1C),
             acct_prev_committed: 0,
@@ -414,6 +434,14 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
     }
 
     /// Advances the machine one cycle.
+    ///
+    /// Idle-cycle fast path (DESIGN.md §4): after an idle cycle (see
+    /// [`Self::observe_idle`]) the stages would repeat it exactly until
+    /// a trigger fires ([`Self::idle_ends`], or an injected invalidation
+    /// that squashes), so each such cycle runs only the per-cycle
+    /// bookkeeping and replays the idle cycle's stall counts and
+    /// accounting records. Debug builds run a predicted-idle cycle in
+    /// full instead and assert that it repeated the idle cycle exactly.
     // lsq-lint: hot
     fn step<S: InstructionStream>(&mut self, stream: &mut S) {
         self.cycle += 1;
@@ -422,20 +450,84 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         self.tracer.set_cycle(self.cycle);
         self.dcache_used = 0;
         self.timed(Phase::SegmentAdvance, |s| s.lsq.begin_cycle());
+        self.active = false;
         self.inject_invalidations();
-        // Drains and retirement are one commit phase: drain-time LQ
-        // violation searches are charged here, not to LsqSearch.
-        self.timed(Phase::Commit, |s| {
-            s.drain_stores();
-            s.commit();
-        });
-        self.timed(Phase::WakeupIssue, |s| s.issue());
-        self.timed(Phase::Dispatch, |s| s.dispatch());
-        self.timed(Phase::Fetch, |s| s.fetch(stream));
+        let predicted = self.idle.filter(|_| !self.active && !self.idle_ends());
+        match predicted {
+            Some(idle) if !cfg!(debug_assertions) => self.replay_idle(idle),
+            _ => {
+                let before = self.lsq.stats().sticky_stalls();
+                // Drains and retirement are one commit phase: drain-time
+                // LQ violation searches are charged here, not to
+                // LsqSearch.
+                self.timed(Phase::Commit, |s| {
+                    s.drain_stores();
+                    s.commit();
+                });
+                self.timed(Phase::WakeupIssue, |s| s.issue());
+                self.timed(Phase::Dispatch, |s| s.dispatch());
+                self.timed(Phase::Fetch, |s| s.fetch(stream));
+                self.idle = self.observe_idle(before);
+                if predicted.is_some() {
+                    assert_eq!(
+                        self.idle, predicted,
+                        "cycle {} did not repeat the idle cycle before it",
+                        self.cycle
+                    );
+                }
+            }
+        }
         self.sample();
         if self.acct.enabled() {
             self.account_cycle();
         }
+    }
+
+    /// The cycle that just ran, if it was idle: nothing committed,
+    /// drained, issued, woke from the wheel, dispatched, fetched, missed
+    /// the i-cache or squashed; every issue candidate hit a sticky stall
+    /// ([`LoadIssue::is_sticky`]); and no search port is booked past
+    /// this cycle. A retired store waiting to drain makes the drain
+    /// stage drain it or block on a port, so an idle cycle has none.
+    /// The polling scheduler never idles: its readiness is time based,
+    /// with no wheel entry to end an idle run.
+    /// `before` holds the sticky-stall counters from before the stages
+    /// ran.
+    // lsq-lint: hot
+    fn observe_idle(&self, before: StickyStalls) -> Option<IdleCycle> {
+        if self.active || self.polling_iq.is_some() || self.lsq.ports_booked_ahead() {
+            return None;
+        }
+        Some(IdleCycle {
+            stalls: self.lsq.stats().sticky_stalls().since(before),
+            head_stall: self.acct_head_stall,
+            dispatch_stall: self.acct_dispatch_stall,
+        })
+    }
+
+    /// Whether a time trigger ends a run of idle cycles at this cycle:
+    /// a wakeup is due, the ROB head completes, the frontend head
+    /// becomes dispatchable, or fetch resumes. Nothing else that an idle
+    /// cycle's stages read changes with time alone.
+    // lsq-lint: hot
+    fn idle_ends(&self) -> bool {
+        let cycle = self.cycle;
+        !self.wheel.is_empty_at(cycle)
+            || self
+                .rob
+                .front()
+                .is_some_and(|e| e.state == State::Issued && e.complete_at <= cycle)
+            || self.frontend.front().is_some_and(|f| f.avail_at == cycle)
+            || self.fetch_resume_at == cycle
+    }
+
+    /// Counts an idle cycle again in place of running the stages: its
+    /// sticky stalls, and the stall records the accountant reads.
+    // lsq-lint: hot
+    fn replay_idle(&mut self, idle: IdleCycle) {
+        self.lsq.repeat_sticky_stalls(idle.stalls);
+        self.acct_head_stall = idle.head_stall;
+        self.acct_dispatch_stall = idle.dispatch_stall;
     }
 
     // ------------------------------------------------------------------
@@ -610,12 +702,17 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
     fn drain_stores(&mut self) {
         while self.dcache_used < self.cfg.dcache_ports {
             match self.lsq.drain_store() {
-                StoreDrain::Idle | StoreDrain::Blocked => break,
+                StoreDrain::Idle => break,
+                StoreDrain::Blocked => {
+                    self.active = true;
+                    break;
+                }
                 StoreDrain::Drained {
                     seq: _,
                     addr,
                     violation,
                 } => {
+                    self.active = true;
                     self.dcache_used += 1;
                     self.mem.data_access(addr, true);
                     if let Some(victim) = violation {
@@ -669,6 +766,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         // lsq-lint: allow(no-unwrap-in-lib, reason = "the commit loop established this head; popping it cannot fail")
         let (s, e) = self.rob.pop().expect("retiring head");
         debug_assert_eq!(s, seq);
+        self.active = true;
         if self.life.enabled() {
             self.life.commit(seq, self.cycle);
         }
@@ -739,12 +837,14 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         let kind = e.instr.kind;
         let unit_left = if kind.is_fp() { fp_left } else { int_left };
         if *unit_left == 0 {
+            self.active = true;
             self.record_head_stall(seq, Component::ExecLatency);
             return false;
         }
         match kind {
             InstrKind::Load => {
                 if self.dcache_used >= self.cfg.dcache_ports {
+                    self.active = true;
                     self.record_head_stall(seq, Component::DcachePort);
                     return false;
                 }
@@ -807,6 +907,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
                         true
                     }
                     stall => {
+                        self.active |= !stall.is_sticky();
                         if self.acct.enabled() {
                             let c = match stall {
                                 LoadIssue::NoSqPort | LoadIssue::NoLqPort => Component::SearchPort,
@@ -834,6 +935,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
                     true
                 }
                 StoreIssue::NoLqPort => {
+                    self.active = true;
                     self.record_head_stall(seq, Component::SearchPort);
                     false
                 }
@@ -904,6 +1006,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
             // and is dropped (the earlier replacement carries the
             // wakeup).
             let (cycle, rob, ready) = (self.cycle, &self.rob, &mut self.ready);
+            self.active |= !self.wheel.is_empty_at(cycle);
             self.wheel.drain(cycle, |seq| match rob.get(seq) {
                 Some(e) if e.state == State::Waiting && e.ready_at == cycle => {
                     ready.insert(rob.slot(seq));
@@ -940,6 +1043,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
                 }
             }
         }
+        self.active |= issued > 0;
         if let Some((victim, cause)) = squash_request {
             self.squash(victim, self.cfg.mispredict_penalty, cause);
         }
@@ -1118,6 +1222,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
                 _ => {}
             }
             self.frontend.pop_front();
+            self.active = true;
             let mut deps = [None, None];
             for (slot, src) in f.instr.srcs.iter().enumerate() {
                 if let Some(r) = src {
@@ -1175,6 +1280,9 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
             if self.frontend.len() >= 2 * self.cfg.fetch_width {
                 break;
             }
+            // Past a full buffer, fetch reads the stream: it fetches,
+            // misses the i-cache, or finds the trace's end.
+            self.active = true;
             // Obtain the instruction at `next_fetch`: from the replay
             // buffer after a squash, from the trace otherwise.
             let idx = (self.next_fetch - self.replay_base) as usize;
@@ -1241,6 +1349,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
     }
 
     fn squash_inner(&mut self, victim: u64, penalty: u64, cause: SquashCause) {
+        self.active = true;
         self.violation_squashes += 1;
         if self.life.enabled() {
             // Terminate before the fetch rewind below: `next_fetch` is
@@ -1853,6 +1962,177 @@ mod tests {
         let r = sim.run(&mut stream, n - sim.committed);
         assert_eq!(r.committed, n);
         assert!(!r.hit_cycle_cap);
+    }
+
+    /// A chain of dependent loads that each miss to memory leaves the
+    /// machine waiting on one load at a time: the idle-cycle fast path
+    /// covers most cycles and must not change a single counter. The
+    /// profiler times `begin_cycle` every cycle but the issue stage only
+    /// on cycles run in full, so the difference of their call counts is
+    /// the fast-forwarded cycle count.
+    #[test]
+    fn missing_load_chain_fast_forwards_bit_identically() {
+        use crate::profile::WallProfiler;
+        let (r1, r2) = (ArchReg::int(1), ArchReg::int(2));
+        let mut instrs = Vec::new();
+        for i in 0..300u64 {
+            let pc = 0x1000 + (i % 16) * 8;
+            instrs.push(
+                Instruction::load(Pc(pc), Addr(0x100_0000 + i * 4160))
+                    .with_src(r1)
+                    .with_dst(r1),
+            );
+            instrs.push(alu(pc + 4).with_src(r1).with_dst(r2));
+        }
+        let n = instrs.len() as u64;
+        let run = |polling: bool| {
+            let mut sim =
+                Simulator::with_parts(SimConfig::default(), NopTracer, WallProfiler::new());
+            if polling {
+                sim.set_reference_scheduler();
+            }
+            let mut r = sim.run(&mut VecStream::new(instrs.clone()), n);
+            let calls = |phase: Phase| {
+                let profile = r.profile.as_ref().expect("profiled run");
+                profile
+                    .phases
+                    .iter()
+                    .find(|p| p.phase == phase.name())
+                    .map_or(0, |p| p.calls)
+            };
+            let fast = calls(Phase::SegmentAdvance) - calls(Phase::WakeupIssue);
+            r.profile = None;
+            (r, fast)
+        };
+        let (event, fast) = run(false);
+        let (polling, polling_fast) = run(true);
+        assert_eq!(format!("{event:?}"), format!("{polling:?}"));
+        assert_eq!(event.committed, n);
+        assert!(event.l2_miss_rate > 0.9, "every load misses to memory");
+        assert_eq!(polling_fast, 0, "the polling scheduler runs every cycle");
+        if cfg!(debug_assertions) {
+            // Debug builds run predicted-idle cycles in full to check them.
+            assert_eq!(fast, 0);
+        } else {
+            assert!(
+                fast * 2 > event.cycles,
+                "only {fast} of {} cycles fast-forwarded",
+                event.cycles
+            );
+        }
+    }
+
+    /// A load that stalls on a full load buffer passed its port checks,
+    /// so its stall repeats only while no search booked ahead can reach
+    /// it. Here the in-order load A searches all four store-queue
+    /// segments, youngest first, and the full-buffer load L starts its
+    /// own search in the segment A reaches last: L passes its port
+    /// checks the two cycles after A issues, collides with A's booking
+    /// on the third, and stalls on the full buffer again on the fourth.
+    /// Only the first of those cycles is idle; fast-forwarding any
+    /// earlier would count the wrong stalls.
+    #[test]
+    fn bookings_ahead_hold_off_the_fast_path() {
+        let mut cfg = SimConfig::default();
+        cfg.lsq.ports = 1;
+        cfg.lsq.load_order = LoadOrderPolicy::LoadBuffer(1);
+        cfg.lsq.segmentation = Some(SegConfig {
+            segments: 4,
+            entries_per_segment: 2,
+            alloc: SegAlloc::SelfCircular,
+        });
+        let (r1, f1) = (ArchReg::int(1), ArchReg::fp(1));
+        let store = |i: u64| Instruction::store(Pc(0x1000 + 4 * i), Addr(0x8000 + 64 * i));
+        let div = |pc: u64| Instruction::op(Pc(pc), InstrKind::FpDiv).with_dst(f1);
+        // S0 drains early, freeing a slot in segment 0; the root load
+        // misses to memory and holds back commit; S1-S7 fill segments
+        // 0, 1, 1, 2, 2, 3, 3.
+        let mut instrs = vec![
+            store(0),
+            Instruction::load(Pc(0x1100), Addr(0x10_0000)).with_dst(r1),
+        ];
+        instrs.extend((1..8).map(store));
+        // Three dependent divides wake A well after the rest settles.
+        instrs.extend([
+            div(0x1200),
+            div(0x1204).with_src(f1),
+            div(0x1208).with_src(f1),
+        ]);
+        instrs.extend([
+            // A: the oldest unissued load, so it issues in order.
+            Instruction::load(Pc(0x1300), Addr(0x9000)).with_src(f1),
+            // Waits on the root, keeping B out of order.
+            Instruction::load(Pc(0x1304), Addr(0x9100)).with_src(r1),
+            // B: issues out of order and fills the load buffer.
+            Instruction::load(Pc(0x1308), Addr(0x9200)),
+            // S8 lands in segment 0, where L's search starts.
+            store(8),
+            Instruction::load(Pc(0x1310), Addr(0x9300)),
+            // The store queue is full: dispatch stops here.
+            store(9),
+        ]);
+        instrs.extend((0..20).map(|i| alu(0x1400 + 4 * i)));
+        let n = instrs.len() as u64;
+        let run = |polling: bool| {
+            let mut sim = Simulator::new(cfg.clone());
+            sim.prewarm(&[], (0x1000, 0x1000));
+            if polling {
+                sim.set_reference_scheduler();
+            }
+            sim.run(&mut VecStream::new(instrs.clone()), n)
+        };
+        let (event, polling) = (run(false), run(true));
+        assert_eq!(format!("{event:?}"), format!("{polling:?}"));
+        assert_eq!(event.committed, n);
+        assert_eq!(
+            event.lsq.sq_port_stalls, 2,
+            "L collides once with each of B's and A's four-segment searches"
+        );
+        assert!(event.lsq.lb_full_stalls > 100, "L waits out the miss");
+    }
+
+    /// Under the pair scheme a store drain searches the load queue. D1's
+    /// drain books two segments; D2 retires a cycle later and its drain,
+    /// blocked on D1's second segment, is all that happens that cycle,
+    /// behind a missing load. The block clears by itself a cycle later,
+    /// so a blocked drain is activity, never an idle cycle.
+    #[test]
+    fn blocked_drain_is_not_an_idle_cycle() {
+        let mut cfg = SimConfig::default();
+        cfg.rob_entries = 8;
+        cfg.lsq.predictor = PredictorKind::Pair;
+        cfg.lsq.ports = 1;
+        cfg.lsq.load_order = LoadOrderPolicy::LoadBuffer(4);
+        cfg.lsq.segmentation = Some(SegConfig {
+            segments: 4,
+            entries_per_segment: 2,
+            alloc: SegAlloc::SelfCircular,
+        });
+        let r1 = ArchReg::int(1);
+        // D1, then two hitting loads (load-queue segment 0), D2, and a
+        // load that misses to memory (segment 1), which everything after
+        // it waits on.
+        let mut instrs = vec![
+            Instruction::store(Pc(0x1000), Addr(0x8000)),
+            Instruction::load(Pc(0x1004), Addr(0x4000)),
+            Instruction::load(Pc(0x1008), Addr(0x4008)),
+            Instruction::store(Pc(0x100c), Addr(0x8040)),
+            Instruction::load(Pc(0x1010), Addr(0x10_0000)).with_dst(r1),
+        ];
+        instrs.extend((0..30).map(|i| alu(0x1014 + 4 * i).with_src(r1)));
+        let n = instrs.len() as u64;
+        let run = |polling: bool| {
+            let mut sim = Simulator::new(cfg.clone());
+            sim.prewarm(&[(0x4000, 64)], (0x1000, 0x100));
+            if polling {
+                sim.set_reference_scheduler();
+            }
+            sim.run(&mut VecStream::new(instrs.clone()), n)
+        };
+        let (event, polling) = (run(false), run(true));
+        assert_eq!(format!("{event:?}"), format!("{polling:?}"));
+        assert_eq!(event.committed, n);
+        assert_eq!(event.lsq.commit_port_delays, 1, "D2's drain blocks once");
     }
 
     #[test]

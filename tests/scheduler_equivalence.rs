@@ -15,8 +15,16 @@
 //! and across processor shapes that stress the scheduler's own
 //! structures: ROBs that are not a power of two or are smaller than one
 //! ready-bitmap word, squash storms, and the 12-wide scaled core.
+//!
+//! The polling reference also never takes the idle-cycle fast path, so
+//! in release builds (where the event scheduler replays idle cycles
+//! instead of running them) these tests pin the replay too: the
+//! memory-bound `mcf` and `art` runs spend most cycles in idle windows,
+//! and the in-order, one-ported all-techniques and port-bound shapes
+//! replay in-order stalls, full load buffers and store-set waits between
+//! multi-segment port bookings, port stalls and squashes.
 
-use lsq::core::{LsqConfig, PredictorKind, SegAlloc};
+use lsq::core::{LoadOrderPolicy, LsqConfig, PredictorKind, SegAlloc, SegConfig};
 use lsq::experiments::runner::diff_results;
 use lsq::obs::NopTracer;
 use lsq::pipeline::{
@@ -200,17 +208,21 @@ fn lifecycle_recording_is_invisible_and_covers_every_commit() {
 /// must agree on: an accounted event-driven run and an accounted
 /// polling run must produce bit-identical stacks (the stack is in the
 /// `SimResult` Debug rendering, so full-result equality covers it).
+/// The cache-bound `mcf` and `art` runs spend most cycles
+/// fast-forwarded, so their stacks check the replayed accounting.
 #[test]
 fn accounted_schedulers_agree() {
-    for (label, cfg) in design_points() {
-        let event = run_accounted("gzip", cfg, false);
-        let polling = run_accounted("gzip", cfg, true);
-        assert!(event.cpi_stack.is_some(), "gzip/{label}: stack missing");
-        assert_eq!(
-            format!("{event:?}"),
-            format!("{polling:?}"),
-            "gzip/{label}: accounted schedulers diverged"
-        );
+    for bench in ["gzip", "mcf", "art"] {
+        for (label, cfg) in design_points() {
+            let event = run_accounted(bench, cfg, false);
+            let polling = run_accounted(bench, cfg, true);
+            assert!(event.cpi_stack.is_some(), "{bench}/{label}: stack missing");
+            assert_eq!(
+                format!("{event:?}"),
+                format!("{polling:?}"),
+                "{bench}/{label}: accounted schedulers diverged"
+            );
+        }
     }
 }
 
@@ -234,7 +246,12 @@ fn mgrid_schedulers_agree() {
 /// (200 → 256 slots), a ROB smaller than one 64-bit bitmap word, a
 /// squash storm (coherence invalidations plus load-load squashes, which
 /// scrub the wheel, the bitmap and the waiter lists), and the 12-wide
-/// scaled processor.
+/// scaled processor. Three more shapes stress idle-cycle replay: in-order
+/// load issue (in-order stalls); all three techniques on one port
+/// (multi-segment bookings and full load buffers); and a
+/// port-bound core (eight small segments with one search port, one
+/// d-cache port, a load buffer and invalidations), where port stalls
+/// and squashes land between idle cycles.
 fn scheduler_shapes() -> Vec<(&'static str, SimConfig)> {
     let segmented = LsqConfig::segmented(SegAlloc::SelfCircular);
     let mut rob200 = SimConfig::with_lsq(LsqConfig::with_techniques(1));
@@ -247,18 +264,42 @@ fn scheduler_shapes() -> Vec<(&'static str, SimConfig)> {
         ..LsqConfig::default()
     });
     squashy.invalidation_rate = 0.05;
+    let in_order = SimConfig::with_lsq(LsqConfig {
+        load_order: LoadOrderPolicy::InOrderNoSearch,
+        ..LsqConfig::default()
+    });
+    let mut port_bound = SimConfig::with_lsq(LsqConfig {
+        ports: 1,
+        load_order: LoadOrderPolicy::LoadBuffer(2),
+        segmentation: Some(SegConfig {
+            segments: 8,
+            entries_per_segment: 4,
+            alloc: SegAlloc::SelfCircular,
+        }),
+        ..LsqConfig::default()
+    });
+    port_bound.dcache_ports = 1;
+    port_bound.invalidation_rate = 0.02;
     vec![
         ("rob200", rob200),
         ("rob24", rob24),
         ("squash-storm", squashy),
         ("scaled", SimConfig::scaled(segmented)),
+        ("in-order", in_order),
+        (
+            "all-techniques-1p",
+            SimConfig::with_lsq(LsqConfig::all_techniques_one_port()),
+        ),
+        ("port-bound", port_bound),
     ]
 }
 
 #[test]
 fn scheduler_shapes_agree() {
     let mut load_load = 0;
-    for bench in ["parser", "mgrid"] {
+    // Every sticky stall kind, so each one's idle-cycle replay is pinned.
+    let mut sticky = [0u64; 3];
+    for bench in ["parser", "mgrid", "mcf"] {
         for (label, cfg) in scheduler_shapes() {
             let event = run_sim(bench, cfg.clone(), false);
             let polling = run_sim(bench, cfg, true);
@@ -268,6 +309,9 @@ fn scheduler_shapes_agree() {
                 "{bench}/{label}: event scheduler diverged from polling reference"
             );
             assert!(event.committed >= INSTRS, "{bench}/{label}: run too short");
+            sticky[0] += event.lsq.in_order_stalls;
+            sticky[1] += event.lsq.lb_full_stalls;
+            sticky[2] += event.lsq.store_set_waits;
             if label == "squash-storm" {
                 assert!(
                     event.violation_squashes > 100,
@@ -281,5 +325,9 @@ fn scheduler_shapes_agree() {
     assert!(
         load_load > 0,
         "the squash storm never squashed a load-load pair"
+    );
+    assert!(
+        sticky.iter().all(|&n| n > 0),
+        "in-order stalls, full load buffers, store-set waits: {sticky:?}"
     );
 }
