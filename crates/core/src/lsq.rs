@@ -56,7 +56,6 @@ use crate::segmented::{Placement, PortBook, SegmentedAlloc};
 use crate::stats::{LsqStats, StickyStalls};
 use crate::store_set::{Ssid, StoreSetPredictor};
 use lsq_isa::{Addr, Pc};
-use lsq_obs::{Event, MemOp, NopTracer, QueueSide, Tracer};
 
 /// Outcome of a load trying to issue this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,8 +106,17 @@ pub struct LoadIssued {
     /// Whether dependents may be scheduled early assuming a constant hit
     /// latency (§3: only when the search cannot leave one segment).
     pub early_wakeup: bool,
-    /// Whether the load spent a store-queue search.
+    /// Whether the load spent a store-queue search (its path is
+    /// [`Lsq::last_sq_path`]).
     pub searched_sq: bool,
+    /// Whether the load spent a load-queue (load-load ordering) search
+    /// (its path is [`Lsq::last_lq_path`]).
+    pub searched_lq: bool,
+    /// Whether the load searched the load buffer.
+    pub searched_lb: bool,
+    /// Whether a predictor-directed store-queue search found no store
+    /// (pair/aggressive predictors only).
+    pub useless_search: bool,
     /// A younger same-word load issued out of order, detected by this
     /// load's load-queue or load-buffer search (§2.2 scheme 1); `Some`
     /// only when [`crate::LsqConfig::load_load_squash`] is enabled. The
@@ -150,6 +158,8 @@ pub enum StoreDrain {
         seq: u64,
         /// Its address (for the cache write).
         addr: Addr,
+        /// Its static PC.
+        pc: Pc,
         /// Oldest violating load detected by the commit-time search, to
         /// be squashed by the pipeline (pair/aggressive schemes only).
         violation: Option<u64>,
@@ -312,12 +322,8 @@ fn single_segment_path(path: &mut Vec<usize>, ports: &PortBook, seg: u8) -> Resu
 }
 
 /// The configurable load/store queue model.
-///
-/// The `T` parameter is the trace sink; the default [`NopTracer`]
-/// monomorphizes every emission site away, so untraced queues compile
-/// to the pre-tracing code.
 #[derive(Debug, Clone)]
-pub struct Lsq<T: Tracer = NopTracer> {
+pub struct Lsq {
     cfg: LsqConfig,
     pred: StoreSetPredictor,
     lb: Option<LoadBuffer>,
@@ -341,29 +347,17 @@ pub struct Lsq<T: Tracer = NopTracer> {
     /// Scratch buffer for load-queue search paths.
     lq_path_buf: Vec<usize>,
     stats: LsqStats,
-    tracer: T,
 }
 
-impl Lsq<NopTracer> {
-    /// Builds an untraced LSQ for the given design point.
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation error of an inconsistent [`LsqConfig`].
-    pub fn new(cfg: LsqConfig) -> Result<Self, ConfigError> {
-        Self::with_tracer(cfg, NopTracer)
-    }
-}
-
-impl<T: Tracer> Lsq<T> {
-    /// Builds an LSQ emitting queue events to `tracer`.
+impl Lsq {
+    /// Builds an LSQ for the given design point.
     ///
     /// # Errors
     ///
     /// Returns the validation error of an inconsistent [`LsqConfig`], or
     /// of one with more than 256 segments (segments are packed in a
     /// byte).
-    pub fn with_tracer(cfg: LsqConfig, tracer: T) -> Result<Self, ConfigError> {
+    pub fn new(cfg: LsqConfig) -> Result<Self, ConfigError> {
         cfg.validate()?;
         let nsegs = cfg.num_segments();
         if nsegs > usize::from(u8::MAX) + 1 {
@@ -399,7 +393,6 @@ impl<T: Tracer> Lsq<T> {
             sq_path_buf: Vec::with_capacity(nsegs),
             lq_path_buf: Vec::with_capacity(nsegs),
             stats: LsqStats::new(nsegs),
-            tracer,
             cfg,
         })
     }
@@ -490,14 +483,6 @@ impl<T: Tracer> Lsq<T> {
             lb.on_dispatch(seq, addr);
         }
         self.stats.loads_dispatched += 1;
-        if self.tracer.enabled() {
-            self.tracer.emit(Event::Dispatch {
-                op: MemOp::Load,
-                seq,
-                pc,
-                addr,
-            });
-        }
     }
 
     /// Allocates a store-queue entry for store `seq` (program order).
@@ -527,14 +512,6 @@ impl<T: Tracer> Lsq<T> {
             place.segment as u8,
         );
         self.stats.stores_dispatched += 1;
-        if self.tracer.enabled() {
-            self.tracer.emit(Event::Dispatch {
-                op: MemOp::Store,
-                seq,
-                pc,
-                addr,
-            });
-        }
     }
 
     // ------------------------------------------------------------------
@@ -842,48 +819,14 @@ impl<T: Tracer> Lsq<T> {
             self.lq_nilp = idx + 1 + after.iter().take_while(|&&k| key_issued(k)).count();
         }
         self.stats.loads_issued += 1;
-        if self.tracer.enabled() {
-            if searches_sq {
-                self.tracer.emit(Event::SqSearch {
-                    load: seq,
-                    segments: self.sq_path_buf.len() as u32,
-                    hit: forwarded_from.is_some(),
-                });
-                emit_seg_path(&mut self.tracer, QueueSide::Sq, &self.sq_path_buf);
-            }
-            if searches_lq {
-                self.tracer.emit(Event::LqSearch {
-                    by: MemOp::Load,
-                    seq,
-                    segments: self.lq_path_buf.len() as u32,
-                });
-                emit_seg_path(&mut self.tracer, QueueSide::Lq, &self.lq_path_buf);
-            }
-            if lb_searched {
-                self.tracer.emit(Event::LbSearch { load: seq });
-            }
-            if let Some(store) = forwarded_from {
-                self.tracer.emit(Event::Forward {
-                    load: seq,
-                    store,
-                    addr,
-                });
-            }
-            if useless_search {
-                self.tracer.emit(Event::UselessSearch { load: seq, pc });
-            }
-            self.tracer.emit(Event::Issue {
-                op: MemOp::Load,
-                seq,
-                pc,
-                addr,
-            });
-        }
         LoadIssue::Issued(LoadIssued {
             forwarded_from,
             extra_cycles,
             early_wakeup,
             searched_sq: searches_sq,
+            searched_lq: searches_lq,
+            searched_lb: lb_searched,
+            useless_search,
             load_order_violation,
         })
     }
@@ -918,23 +861,6 @@ impl<T: Tracer> Lsq<T> {
             self.pred.on_store_issue(ssid, seq);
         }
         self.stats.stores_issued += 1;
-        if self.tracer.enabled() {
-            if searches_lq {
-                self.tracer.emit(Event::LqSearch {
-                    by: MemOp::Store,
-                    seq,
-                    segments: self.lq_path_buf.len() as u32,
-                });
-                emit_seg_path(&mut self.tracer, QueueSide::Lq, &self.lq_path_buf);
-            }
-            self.tracer.emit(Event::Issue {
-                op: MemOp::Store,
-                seq,
-                pc,
-                addr,
-            });
-        }
-
         if let Some(victim) = violation {
             self.record_violation(victim, pc, false);
         }
@@ -949,14 +875,6 @@ impl<T: Tracer> Lsq<T> {
         // lsq-lint: allow(no-unwrap-in-lib, reason = "the LQ violation scan just above returned this victim, so it is resident")
         let load_pc = self.lq.entries()[self.lq_index(victim).expect("victim resident")].pc;
         self.pred.train_pair(load_pc, store_pc);
-        if self.tracer.enabled() {
-            self.tracer.emit(Event::Violation {
-                victim,
-                load_pc,
-                store_pc,
-                at_commit,
-            });
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1035,14 +953,6 @@ impl<T: Tracer> Lsq<T> {
             self.lq_ports.book(&self.lq_path_buf);
             self.stats.lq_searches_by_stores += 1;
             violation = victim;
-            if self.tracer.enabled() {
-                self.tracer.emit(Event::LqSearch {
-                    by: MemOp::Store,
-                    seq: front.seq,
-                    segments: self.lq_path_buf.len() as u32,
-                });
-                emit_seg_path(&mut self.tracer, QueueSide::Lq, &self.lq_path_buf);
-            }
         }
 
         self.sq.pop_front();
@@ -1057,6 +967,7 @@ impl<T: Tracer> Lsq<T> {
         StoreDrain::Drained {
             seq: front.seq,
             addr: front.addr,
+            pc: front.pc,
             violation,
         }
     }
@@ -1176,28 +1087,25 @@ impl<T: Tracer> Lsq<T> {
         self.sq_index(seq).is_some_and(|i| self.sq.is_issued(i))
     }
 
+    /// The segments the last store-queue search visited, in search
+    /// order (`[0]` when unsegmented). Valid right after a
+    /// [`Lsq::load_issue`] that reports `searched_sq`.
+    pub fn last_sq_path(&self) -> &[usize] {
+        &self.sq_path_buf
+    }
+
+    /// The segments the last load-queue search visited, in search
+    /// order: the load-load search of a [`Lsq::load_issue`] that
+    /// reports `searched_lq`, or the violation search of the last
+    /// [`Lsq::store_issue`] or [`Lsq::drain_store`] that performed one.
+    pub fn last_lq_path(&self) -> &[usize] {
+        &self.lq_path_buf
+    }
+
     /// The forwarding source bound to an issued load, if any.
     pub fn load_forwarded_from(&self, seq: u64) -> Option<u64> {
         self.lq_index(seq)
             .and_then(|i| self.lq.entries()[i].forwarded_from)
-    }
-}
-
-/// Emits one [`Event::SegAdvance`] per hop of a multi-segment search
-/// path. A free function (not a method) so callers can borrow the path
-/// out of the `Lsq` scratch buffers; a no-op unless the tracer is
-/// enabled, so untraced builds pay nothing for path emission.
-// lsq-lint: hot
-fn emit_seg_path<T: Tracer>(tracer: &mut T, queue: QueueSide, path: &[usize]) {
-    if !tracer.enabled() {
-        return;
-    }
-    for w in path.windows(2) {
-        tracer.emit(Event::SegAdvance {
-            queue,
-            from_segment: w[0] as u32,
-            to_segment: w[1] as u32,
-        });
     }
 }
 

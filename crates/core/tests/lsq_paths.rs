@@ -423,6 +423,7 @@ impl RefLsq {
             self.stats.lq_searches_by_loads += 1;
         }
         let mut load_order_violation = None;
+        let mut searched_lb = false;
         if let Some(lb) = &mut self.lb {
             match lb.try_issue(seq) {
                 LbIssue::Full => unreachable!("checked above"),
@@ -431,10 +432,12 @@ impl RefLsq {
                     violation,
                 } => {
                     self.stats.lb_searches += u64::from(searches);
+                    searched_lb = searches > 0;
                     load_order_violation = violation;
                 }
                 LbIssue::Buffered { violation } => {
                     self.stats.lb_searches += 1;
+                    searched_lb = true;
                     load_order_violation = violation;
                 }
             }
@@ -451,6 +454,7 @@ impl RefLsq {
             self.stats.load_load_violations += 1;
         }
 
+        let mut useless_search = false;
         let forwarded_from = if searches_sq {
             let hit = self.forwarding_source(seq, addr);
             match hit {
@@ -471,6 +475,7 @@ impl RefLsq {
                         PredictorKind::Aggressive | PredictorKind::Pair
                     ) {
                         self.stats.useless_searches += 1;
+                        useless_search = true;
                     }
                 }
             }
@@ -488,6 +493,9 @@ impl RefLsq {
             extra_cycles,
             early_wakeup,
             searched_sq: searches_sq,
+            searched_lq: searches_lq,
+            searched_lb,
+            useless_search,
             load_order_violation,
         })
     }
@@ -585,6 +593,7 @@ impl RefLsq {
         StoreDrain::Drained {
             seq: front.seq,
             addr: front.addr,
+            pc: front.pc,
             violation,
         }
     }
@@ -819,6 +828,13 @@ impl Pair {
                     assert_eq!(got, self.reference.load_issue(pick.seq), "load {pick:?}");
                     match got {
                         LoadIssue::Issued(i) => {
+                            // The paths the simulator traces as segment hops.
+                            if i.searched_sq {
+                                assert_eq!(self.real.last_sq_path(), self.reference.sq_path_buf);
+                            }
+                            if i.searched_lq {
+                                assert_eq!(self.real.last_lq_path(), self.reference.lq_path_buf);
+                            }
                             self.mark_issued(pick.seq);
                             i.load_order_violation
                         }

@@ -14,8 +14,7 @@
 use crate::engine::{self, Job};
 use lsq_core::LsqConfig;
 use lsq_obs::{
-    job_path, NopTracer, PipeRecord, PipeviewConfig, Sampler, SharedTracer, TraceBuffer,
-    TraceConfig, Tracer,
+    job_path, NopTracer, PipeRecord, PipeviewConfig, Sampler, TraceBuffer, TraceConfig, Tracer,
 };
 use lsq_pipeline::{
     CycleAccountant, Lifecycle, NopAccountant, NopLifecycle, NopProfiler, PipeviewRecorder,
@@ -148,7 +147,7 @@ pub fn run_design_point(bench: &str, lsq: LsqConfig, scaled: bool, spec: RunSpec
 /// the CPI stack is windowed by the diff. A sampler (`sample_window`
 /// cycles) is attached before the warm-up, so its windows partition
 /// the *whole* run.
-fn simulate<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle>(
+fn simulate<T: Tracer, P: Profiler, A: CycleAccountant, L: Lifecycle>(
     job: &Job,
     tracer: T,
     profiler: P,
@@ -162,7 +161,7 @@ fn simulate<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle>(
     let mut stream = profile.stream(job.spec.seed);
     let mut sim = Simulator::with_lifecycle(job.sim_config(), tracer, profiler, acct, life);
     if let Some(window) = sample_window {
-        sim.set_sampler(Sampler::new(window));
+        sim.set_sampler(window);
     }
     sim.prewarm(&stream.data_regions(), stream.code_region());
     if job.spec.warmup > 0 {
@@ -204,7 +203,7 @@ pub fn run_observed(
     static PIPEVIEW_JOBS: AtomicU64 = AtomicU64::new(0);
     static ACCT_CSV_JOBS: AtomicU64 = AtomicU64::new(0);
     let trace = observers.trace.as_ref();
-    let tracer = trace.map(|t| SharedTracer::with_capacity(t.capacity));
+    let tracer = trace.map(|t| TraceBuffer::with_capacity(t.capacity));
     let profiler = observers.profile.then(WallProfiler::new);
     let acct = observers
         .accounting
@@ -220,7 +219,7 @@ pub fn run_observed(
         .as_ref()
         .map(|pv| PipeviewRecorder::new(pv.capacity));
     let window = trace.and_then(TraceConfig::effective_sample_cycles);
-    let (result, mut sim) = simulate(job, tracer.clone(), profiler, acct, life, window);
+    let (result, mut sim) = simulate(job, tracer, profiler, acct, life, window);
 
     if let (Some((path, _)), Some(cpi)) = (&observers.accounting_csv, sim.take_cpi_sampler()) {
         let path = job_path(path, ACCT_CSV_JOBS.fetch_add(1, Ordering::Relaxed));
@@ -245,8 +244,8 @@ pub fn run_observed(
     }
     Observed {
         result,
-        trace: tracer.map(|t| t.snapshot()),
         sampler: sim.take_sampler(),
+        trace: sim.into_tracer(),
     }
 }
 

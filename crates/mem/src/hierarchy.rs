@@ -2,7 +2,6 @@
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use lsq_isa::Addr;
-use lsq_obs::{Event, MissLevel, NopTracer, Tracer};
 
 /// Configuration of the full hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,35 +59,22 @@ impl HierarchyConfig {
 }
 
 /// The L1I/L1D/L2/memory timing model.
-///
-/// The `T` parameter is the trace sink; the default [`NopTracer`]
-/// monomorphizes every emission site away, so untraced hierarchies
-/// compile to the pre-tracing code.
 #[derive(Debug, Clone)]
-pub struct MemoryHierarchy<T: Tracer = NopTracer> {
+pub struct MemoryHierarchy {
     cfg: HierarchyConfig,
     l1i: Cache,
     l1d: Cache,
     l2: Cache,
-    tracer: T,
 }
 
-impl MemoryHierarchy<NopTracer> {
-    /// Builds an empty, untraced hierarchy.
+impl MemoryHierarchy {
+    /// Builds an empty hierarchy.
     pub fn new(cfg: HierarchyConfig) -> Self {
-        Self::with_tracer(cfg, NopTracer)
-    }
-}
-
-impl<T: Tracer> MemoryHierarchy<T> {
-    /// Builds an empty hierarchy emitting cache-miss events to `tracer`.
-    pub fn with_tracer(cfg: HierarchyConfig, tracer: T) -> Self {
         Self {
             cfg,
             l1i: Cache::new(cfg.l1i),
             l1d: Cache::new(cfg.l1d),
             l2: Cache::new(cfg.l2),
-            tracer,
         }
     }
 
@@ -97,24 +83,21 @@ impl<T: Tracer> MemoryHierarchy<T> {
         &self.cfg
     }
 
-    /// The trace sink (for setting the cycle from the owning pipeline).
-    pub fn tracer_mut(&mut self) -> &mut T {
-        &mut self.tracer
-    }
-
     /// Performs a data access (load or store write-through to L1) and
-    /// returns its total latency in cycles.
+    /// returns its total latency in cycles: the L1 hit latency, plus the
+    /// L2's on an L1 miss, plus memory's on an L2 miss.
     pub fn data_access(&mut self, addr: Addr, write: bool) -> u32 {
-        self.access_inner(addr, write, false, true)
+        self.access(addr, write, false)
     }
 
     /// Performs an instruction fetch of the block containing `pc_addr` and
-    /// returns its latency in cycles.
+    /// returns its latency in cycles, composed as for
+    /// [`Self::data_access`].
     pub fn inst_fetch(&mut self, pc_addr: Addr) -> u32 {
-        self.access_inner(pc_addr, false, true, true)
+        self.access(pc_addr, false, true)
     }
 
-    fn access_inner(&mut self, addr: Addr, write: bool, fetch: bool, trace: bool) -> u32 {
+    fn access(&mut self, addr: Addr, write: bool, fetch: bool) -> u32 {
         let (l1, l1_cfg) = if fetch {
             (&mut self.l1i, &self.cfg.l1i)
         } else {
@@ -123,14 +106,8 @@ impl<T: Tracer> MemoryHierarchy<T> {
         let mut lat = l1_cfg.hit_latency;
         if !l1.access(addr, write && !fetch) {
             lat += self.cfg.l2.hit_latency;
-            let level = if self.l2.access(addr, false) {
-                MissLevel::L2
-            } else {
+            if !self.l2.access(addr, false) {
                 lat += self.cfg.mem_latency;
-                MissLevel::Memory
-            };
-            if trace && self.tracer.enabled() {
-                self.tracer.emit(Event::CacheMiss { addr, level, fetch });
             }
         }
         lat
@@ -165,8 +142,7 @@ impl<T: Tracer> MemoryHierarchy<T> {
         for &(base, bytes) in regions {
             let mut a = base;
             while a < base + bytes {
-                // trace=false: warm-up fills are not simulated events.
-                self.access_inner(Addr(a), false, false, false);
+                self.access(Addr(a), false, false);
                 a += block;
             }
         }
@@ -178,7 +154,7 @@ impl<T: Tracer> MemoryHierarchy<T> {
         let block = self.cfg.l1i.block_bytes;
         let mut a = base;
         while a < base + bytes {
-            self.access_inner(Addr(a), false, true, false);
+            self.access(Addr(a), false, true);
             a += block;
         }
         self.clear_stats();
@@ -298,37 +274,6 @@ mod tests {
         m.clear_stats();
         assert_eq!(m.l1d_stats().accesses(), 0);
         assert_eq!(m.data_access(Addr(0x40), false), 2, "line still resident");
-    }
-
-    #[test]
-    fn traced_hierarchy_emits_misses_but_not_prewarm() {
-        use lsq_obs::SharedTracer;
-        let tracer = SharedTracer::with_capacity(64);
-        let mut m = MemoryHierarchy::with_tracer(HierarchyConfig::default(), tracer.clone());
-        m.prewarm_data(&[(0x10_0000, 4096)]);
-        assert_eq!(tracer.snapshot().len(), 0, "prewarm is silent");
-        m.data_access(Addr(0x30_0000), false); // memory miss
-        m.data_access(Addr(0x30_0000), false); // L1 hit: no event
-        m.inst_fetch(Addr(0x30_0000)); // L1I miss, L2 hit
-        let snap = tracer.snapshot();
-        let events: Vec<_> = snap.events().collect();
-        assert_eq!(events.len(), 2);
-        assert_eq!(
-            events[0].event,
-            Event::CacheMiss {
-                addr: Addr(0x30_0000),
-                level: MissLevel::Memory,
-                fetch: false
-            }
-        );
-        assert_eq!(
-            events[1].event,
-            Event::CacheMiss {
-                addr: Addr(0x30_0000),
-                level: MissLevel::L2,
-                fetch: true
-            }
-        );
     }
 
     #[test]

@@ -7,16 +7,19 @@
 //! This crate adds the missing audit trail without taxing untraced runs:
 //!
 //! * **Typed event tracing** — a [`Tracer`] trait whose no-op default
-//!   ([`NopTracer`]) monomorphizes to nothing, so `Simulator::new` /
-//!   `Lsq::new` compile to exactly the pre-tracing code. A
-//!   [`SharedTracer`] collects [`Event`]s into a bounded ring buffer
-//!   ([`TraceBuffer`]) and serializes them to JSONL or Chrome
+//!   ([`NopTracer`]) monomorphizes to nothing, so `Simulator::new`
+//!   compiles to exactly the pre-tracing code. The simulator is the only
+//!   emitter: the LSQ and memory models carry no tracer and return the
+//!   facts it turns into [`Event`]s. A [`TraceBuffer`] is the tracer
+//!   for a traced run: a bounded ring that the simulator owns for the
+//!   run and hands back, and that serializes to JSONL or Chrome
 //!   `trace_event` JSON (open in Perfetto or `chrome://tracing`).
-//! * **Windowed sampling** — a [`Sampler`] turns per-cycle observations
-//!   into fixed-width window rows (IPC, queue occupancy, search demand,
-//!   in-flight loads) dumped as CSV, so warm-up vs. measured behaviour
-//!   is visible at a glance. Per-window committed/cycle deltas sum back
-//!   exactly to the run's aggregate IPC.
+//! * **Windowed sampling** — a [`Sampler`] folds per-cycle cumulative
+//!   counters and gauges into fixed-width windows of deltas and means,
+//!   dumped as CSV. The simulator keeps two: the trace timeline (IPC,
+//!   queue occupancy, search demand), so warm-up vs. measured behaviour
+//!   is visible at a glance, and the CPI stack per window. Per-window
+//!   deltas sum back exactly to the run's totals.
 //! * **Per-PC attribution** — [`PcAttribution`] charges violations,
 //!   squashes, and useless searches to static PCs, making Table 3's
 //!   misprediction rate debuggable.
@@ -35,7 +38,6 @@
 
 pub mod attrib;
 pub mod config;
-pub mod cpisample;
 pub mod event;
 pub mod json;
 pub mod pipeview;
@@ -45,7 +47,6 @@ pub mod tracer;
 
 pub use attrib::{PcAttribution, PcCounters};
 pub use config::{job_path, TraceConfig, TraceMode};
-pub use cpisample::{CpiStackSampler, CpiWindow};
 pub use event::{Event, MemOp, MissLevel, QueueSide, SquashCause, TimedEvent};
 pub use json::Json;
 pub use pipeview::{
@@ -53,5 +54,5 @@ pub use pipeview::{
     PipeviewConfig, PipeviewMode, DEFAULT_PIPEVIEW_CAPACITY,
 };
 pub use registry::{Metric, MetricValue, Registry, Section};
-pub use sample::{SampleInput, SampleRow, Sampler};
-pub use tracer::{NopTracer, SharedTracer, TraceBuffer, Tracer, DEFAULT_RING_CAPACITY};
+pub use sample::{Column, Sampler, Window};
+pub use tracer::{NopTracer, TraceBuffer, Tracer, DEFAULT_RING_CAPACITY};

@@ -1,16 +1,13 @@
 //! The [`Tracer`] trait, its zero-cost no-op default, and the bounded
 //! ring-buffer sink.
 //!
-//! The simulator structs take a `T: Tracer = NopTracer` type parameter;
-//! every emission site is guarded by `if self.tracer.enabled()`, and
-//! [`NopTracer::enabled`] is a constant `false`, so untraced builds
-//! monomorphize to exactly the pre-tracing code (the bench acceptance
-//! criterion). A [`SharedTracer`] is a cloneable handle to one
-//! [`TraceBuffer`]; the simulator, its LSQ, and its memory hierarchy
-//! each hold a clone and append to the same ring.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! The simulator is the only emitter: `Simulator` takes a
+//! `T: Tracer = NopTracer` type parameter, and the LSQ and the memory
+//! hierarchy return the facts it turns into events. Every emission site
+//! is guarded by `if self.tracer.enabled()`, and [`NopTracer::enabled`]
+//! is a constant `false`, so untraced builds monomorphize to exactly the
+//! pre-tracing code. A [`TraceBuffer`] is itself a [`Tracer`]: the
+//! simulator owns it for the run and hands it back afterwards.
 
 use crate::attrib::PcAttribution;
 use crate::event::{Event, TimedEvent};
@@ -74,7 +71,7 @@ impl<T: Tracer> Tracer for Option<T> {
 /// incremented — recent history is what debugging needs, and the
 /// attribution table (which is cheap and bounded by static-PC count)
 /// still covers the whole run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct TraceBuffer {
     cycle: u64,
     capacity: usize,
@@ -82,6 +79,14 @@ pub struct TraceBuffer {
     dropped: u64,
     total: u64,
     attrib: PcAttribution,
+}
+
+impl Default for TraceBuffer {
+    /// The same as [`TraceBuffer::new`]: a derived default would bound
+    /// the ring to zero events.
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl TraceBuffer {
@@ -100,27 +105,6 @@ impl TraceBuffer {
             total: 0,
             attrib: PcAttribution::default(),
         }
-    }
-
-    /// Set the cycle stamped onto subsequently pushed events.
-    pub fn set_cycle(&mut self, cycle: u64) {
-        self.cycle = cycle;
-    }
-
-    /// Append one event at the current cycle, evicting the oldest if
-    /// the ring is full. Attribution is recorded unconditionally so it
-    /// covers events the ring has already evicted.
-    pub fn push(&mut self, event: Event) {
-        self.attrib.record(&event);
-        self.total += 1;
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(TimedEvent {
-            cycle: self.cycle,
-            event,
-        });
     }
 
     /// The retained events, oldest first.
@@ -203,47 +187,30 @@ impl TraceBuffer {
     }
 }
 
-/// A cloneable handle to a shared [`TraceBuffer`]. The simulator and
-/// its sub-components each hold a clone; all events land in one ring in
-/// emission order. `Rc`-based: a traced simulator stays on the thread
-/// that built it (the experiment engine constructs simulators locally
-/// per worker, so this never crosses threads).
-#[derive(Debug, Clone, Default)]
-pub struct SharedTracer(Rc<RefCell<TraceBuffer>>);
-
-impl SharedTracer {
-    /// A tracer over a fresh buffer with [`DEFAULT_RING_CAPACITY`].
-    pub fn new() -> Self {
-        Self::with_capacity(DEFAULT_RING_CAPACITY)
-    }
-
-    /// A tracer over a fresh buffer bounded to `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        SharedTracer(Rc::new(RefCell::new(TraceBuffer::with_capacity(capacity))))
-    }
-
-    /// Run `f` with a shared borrow of the buffer (serialize, inspect).
-    pub fn with_buffer<R>(&self, f: impl FnOnce(&TraceBuffer) -> R) -> R {
-        f(&self.0.borrow())
-    }
-
-    /// A deep copy of the buffer's current contents.
-    pub fn snapshot(&self) -> TraceBuffer {
-        self.0.borrow().clone()
-    }
-}
-
-impl Tracer for SharedTracer {
+impl Tracer for TraceBuffer {
     fn enabled(&self) -> bool {
         true
     }
 
+    /// Sets the cycle stamped onto subsequently emitted events.
     fn set_cycle(&mut self, cycle: u64) {
-        self.0.borrow_mut().set_cycle(cycle);
+        self.cycle = cycle;
     }
 
+    /// Appends one event at the current cycle, evicting the oldest if
+    /// the ring is full. Attribution is recorded unconditionally so it
+    /// covers events the ring has already evicted.
     fn emit(&mut self, event: Event) {
-        self.0.borrow_mut().push(event);
+        self.attrib.record(&event);
+        self.total += 1;
+        if self.events.len() == self.capacity {
+            self.events.pop_front();
+            self.dropped += 1;
+        }
+        self.events.push_back(TimedEvent {
+            cycle: self.cycle,
+            event,
+        });
     }
 }
 
@@ -266,7 +233,7 @@ mod tests {
         let mut buf = TraceBuffer::with_capacity(3);
         for i in 0..5 {
             buf.set_cycle(i);
-            buf.push(ev(i));
+            buf.emit(ev(i));
         }
         assert_eq!(buf.len(), 3);
         assert_eq!(buf.dropped(), 2);
@@ -276,21 +243,29 @@ mod tests {
     }
 
     #[test]
-    fn clones_share_one_ring() {
-        let mut a = SharedTracer::with_capacity(16);
-        let mut b = a.clone();
-        a.set_cycle(1);
-        a.emit(ev(0));
-        b.emit(ev(1));
-        assert_eq!(a.snapshot().len(), 2);
+    fn default_buffer_has_the_default_capacity() {
+        let mut buf = TraceBuffer::default();
+        assert_eq!(buf.capacity(), DEFAULT_RING_CAPACITY);
+        buf.emit(ev(0));
+        assert_eq!((buf.len(), buf.dropped()), (1, 0));
+    }
+
+    #[test]
+    fn buffer_is_an_enabled_tracer() {
+        let mut buf = TraceBuffer::with_capacity(16);
+        assert!(buf.enabled());
+        buf.set_cycle(1);
+        buf.emit(ev(0));
+        buf.emit(ev(1));
+        assert_eq!(buf.len(), 2);
     }
 
     #[test]
     fn jsonl_lines_each_parse() {
         let mut buf = TraceBuffer::with_capacity(8);
         buf.set_cycle(7);
-        buf.push(ev(1));
-        buf.push(Event::Squash {
+        buf.emit(ev(1));
+        buf.emit(Event::Squash {
             victim: 1,
             pc: Pc(0x1004),
             cause: crate::event::SquashCause::MemOrder,
@@ -310,7 +285,7 @@ mod tests {
     fn chrome_trace_parses_and_names_lanes() {
         let mut buf = TraceBuffer::with_capacity(8);
         buf.set_cycle(3);
-        buf.push(Event::SqSearch {
+        buf.emit(Event::SqSearch {
             load: 2,
             segments: 4,
             hit: true,

@@ -24,10 +24,10 @@
 //! constant, and every attribution site sits behind that check — an
 //! unaccounted simulator monomorphizes to the pre-accounting code.
 //! [`SlotAccountant`] accumulates the stack and can feed a windowed
-//! [`CpiStackSampler`] so the per-component timeline lands in CSV next
-//! to the IPC sampler's.
+//! [`Sampler`] so the per-component timeline lands in CSV next to the
+//! trace timeline.
 
-use lsq_obs::{CpiStackSampler, Json};
+use lsq_obs::{Column, Json, Sampler};
 
 /// Where one commit slot of one cycle went. Exactly one component is
 /// charged per slot; see the module docs for the partition invariant.
@@ -128,8 +128,8 @@ impl Component {
         }
     }
 
-    /// The component names in [`Component::ALL`] order — the label set
-    /// handed to a [`CpiStackSampler`].
+    /// The component names in [`Component::ALL`] order — the column
+    /// labels of the windowed CPI stack.
     pub const NAMES: [&'static str; 17] = [
         "base",
         "frontend",
@@ -178,7 +178,7 @@ pub trait CycleAccountant {
 
     /// Detaches the windowed sampler (flushing its partial last
     /// window), if one was attached.
-    fn take_sampler(&mut self) -> Option<CpiStackSampler>;
+    fn take_sampler(&mut self) -> Option<Sampler>;
 }
 
 /// The zero-cost default: accounting disabled, all sites compile away.
@@ -206,7 +206,7 @@ impl CycleAccountant for NopAccountant {
     }
 
     #[inline(always)]
-    fn take_sampler(&mut self) -> Option<CpiStackSampler> {
+    fn take_sampler(&mut self) -> Option<Sampler> {
         None
     }
 }
@@ -233,7 +233,7 @@ impl<A: CycleAccountant> CycleAccountant for Option<A> {
         self.as_ref().and_then(A::report)
     }
 
-    fn take_sampler(&mut self) -> Option<CpiStackSampler> {
+    fn take_sampler(&mut self) -> Option<Sampler> {
         self.as_mut().and_then(A::take_sampler)
     }
 }
@@ -244,7 +244,7 @@ impl<A: CycleAccountant> CycleAccountant for Option<A> {
 pub struct SlotAccountant {
     commit_width: u64,
     slots: [u64; Component::ALL.len()],
-    sampler: Option<CpiStackSampler>,
+    sampler: Option<Sampler>,
 }
 
 impl SlotAccountant {
@@ -254,14 +254,19 @@ impl SlotAccountant {
     }
 
     /// Creates an accountant that also folds every cycle into
-    /// `window`-cycle [`CpiWindow`](lsq_obs::cpisample::CpiWindow) rows
-    /// (see [`CpiStackSampler`]).
+    /// `window`-cycle windows of per-component slot deltas, one column
+    /// per component (see [`Sampler`]).
     ///
     /// # Panics
     /// If `window` is zero.
     pub fn with_sampler(window: u64) -> Self {
+        let columns: Vec<Column> = Component::NAMES
+            .iter()
+            .enumerate()
+            .map(|(i, &name)| Column::Delta(name, i))
+            .collect();
         Self {
-            sampler: Some(CpiStackSampler::new(window, &Component::NAMES)),
+            sampler: Some(Sampler::new(window, &columns)),
             ..Self::default()
         }
     }
@@ -286,7 +291,7 @@ impl CycleAccountant for SlotAccountant {
     #[inline]
     fn end_cycle(&mut self, cycle: u64) {
         if let Some(s) = &mut self.sampler {
-            s.observe(cycle, &self.slots);
+            s.observe(cycle, &self.slots, &[]);
         }
     }
 
@@ -303,7 +308,7 @@ impl CycleAccountant for SlotAccountant {
         })
     }
 
-    fn take_sampler(&mut self) -> Option<CpiStackSampler> {
+    fn take_sampler(&mut self) -> Option<Sampler> {
         let mut s = self.sampler.take()?;
         s.flush();
         Some(s)
@@ -508,7 +513,7 @@ mod tests {
         assert_eq!(s.rows().len(), 2);
         for r in s.rows() {
             assert_eq!(r.cycles, 2);
-            assert_eq!(r.slots.iter().sum::<u64>(), 16);
+            assert_eq!(r.deltas.iter().sum::<u64>(), 16);
         }
         // Detached: a second take yields nothing.
         assert!(a.take_sampler().is_none());

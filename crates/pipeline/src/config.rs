@@ -173,6 +173,12 @@ impl SimConfig {
                 "functional units and cache ports must be non-zero",
             ));
         }
+        // The simulator infers how deep an access went from its latency
+        // (for cache-miss events, cycle accounting and lifecycles); that
+        // is exact only while each level below the L1 adds a latency.
+        if self.hierarchy.l2.hit_latency == 0 || self.hierarchy.mem_latency == 0 {
+            return Err(ConfigError::new("L2 and memory latencies must be non-zero"));
+        }
         self.lsq.validate()
     }
 }
@@ -217,6 +223,12 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = SimConfig::default();
         c.lsq.ports = 0;
+        assert!(c.validate().is_err());
+        let mut c = SimConfig::default();
+        c.hierarchy.l2.hit_latency = 0;
+        assert!(c.validate().is_err());
+        let mut c = SimConfig::default();
+        c.hierarchy.mem_latency = 0;
         assert!(c.validate().is_err());
     }
 }

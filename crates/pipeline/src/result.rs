@@ -34,7 +34,9 @@ pub struct SimResult {
     /// Mean number of loads issued out of program order per cycle (paper
     /// Table 4).
     pub ooo_issued_loads: f64,
-    /// Mean in-flight loads per cycle (the paper quotes ~41).
+    /// Mean in-flight loads per cycle (the paper quotes ~41). A load
+    /// holds its load-queue entry from dispatch to commit, so in this
+    /// model this is the same mean as [`Self::lq_occupancy`].
     pub inflight_loads: f64,
     /// LSQ event counters.
     pub lsq: LsqStats,

@@ -28,10 +28,12 @@ use crate::lifecycle::{Lifecycle, NopLifecycle};
 use crate::profile::{NopProfiler, Phase, Profiler};
 use crate::result::SimResult;
 use crate::sched::{ReadySet, Waiters, Wheel, NIL};
-use lsq_core::{LoadIssue, Lsq, StickyStalls, StoreDrain, StoreIssue};
-use lsq_isa::{Addr, InstrKind, Instruction, InstructionStream};
+use lsq_core::{LoadIssue, LoadIssued, Lsq, StickyStalls, StoreDrain, StoreIssue};
+use lsq_isa::{Addr, InstrKind, Instruction, InstructionStream, Pc};
 use lsq_mem::MemoryHierarchy;
-use lsq_obs::{CpiStackSampler, Event, NopTracer, SampleInput, Sampler, SquashCause, Tracer};
+use lsq_obs::{
+    Column, Event, MemOp, MissLevel, NopTracer, QueueSide, Sampler, SquashCause, Tracer,
+};
 use lsq_stats::RunningMean;
 use lsq_util::rng::Xoshiro256;
 use lsq_util::RingQueue;
@@ -112,6 +114,22 @@ fn wakeup_horizon(cfg: &SimConfig) -> u64 {
     load.max(exec)
 }
 
+/// The trace timeline's CSV columns over what [`Simulator::set_sampler`]
+/// feeds it each cycle: the cumulative counters committed instructions,
+/// store-queue searches and load-queue searches, and the gauges
+/// load-queue and store-queue occupancy. A load holds its load-queue
+/// entry from dispatch to commit, so the in-flight loads are the
+/// load-queue occupancy and that column repeats it.
+const TIMELINE: [Column; 7] = [
+    Column::Delta("committed", 0),
+    Column::Rate("ipc", 0),
+    Column::Mean("lq_occupancy", 0),
+    Column::Mean("sq_occupancy", 1),
+    Column::Mean("inflight_loads", 0),
+    Column::Delta("sq_searches", 1),
+    Column::Delta("lq_searches", 2),
+];
+
 /// What an idle cycle did: the sticky LSQ stalls it counted and the
 /// stall records it left for cycle accounting. Until a trigger fires,
 /// every following cycle does exactly the same (see
@@ -137,9 +155,11 @@ struct Fetched {
 /// simulator compiles to the plain model, and `Option<_>` of a real
 /// observer switches it per run.
 ///
-/// * `T`, the trace sink, e.g. [`lsq_obs::SharedTracer`]: cloned into
-///   the LSQ and the memory hierarchy so all events land in one buffer
-///   in emission order.
+/// * `T`, the trace sink, e.g. [`lsq_obs::TraceBuffer`]. The simulator
+///   is the only emitter: the LSQ and the memory hierarchy carry no
+///   tracer, and each call into them returns the facts that the
+///   simulator turns into events right after it, in the order the
+///   model produced them.
 /// * `P`, the self-profiler: [`WallProfiler`](crate::profile::WallProfiler)
 ///   accumulates per-phase wall time (see [`crate::profile`]).
 /// * `A`, the cycle accountant:
@@ -157,8 +177,8 @@ pub struct Simulator<
     L: Lifecycle = NopLifecycle,
 > {
     cfg: SimConfig,
-    lsq: Lsq<T>,
-    mem: MemoryHierarchy<T>,
+    lsq: Lsq,
+    mem: MemoryHierarchy,
     tracer: T,
     profiler: P,
     acct: A,
@@ -240,7 +260,6 @@ pub struct Simulator<
     lq_occ: RunningMean,
     sq_occ: RunningMean,
     ooo_loads: RunningMean,
-    inflight_loads: RunningMean,
 }
 
 impl Simulator<NopTracer> {
@@ -254,10 +273,9 @@ impl Simulator<NopTracer> {
     }
 }
 
-impl<T: Tracer + Clone, P: Profiler> Simulator<T, P> {
+impl<T: Tracer, P: Profiler> Simulator<T, P> {
     /// Builds a simulator with a trace sink and a self-profiler but no
-    /// cycle accountant or lifecycle recorder. The LSQ and the memory
-    /// hierarchy get clones of `tracer`, so all layers share one sink.
+    /// cycle accountant or lifecycle recorder.
     ///
     /// # Panics
     ///
@@ -267,7 +285,7 @@ impl<T: Tracer + Clone, P: Profiler> Simulator<T, P> {
     }
 }
 
-impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator<T, P, A, L> {
+impl<T: Tracer, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator<T, P, A, L> {
     /// Builds a simulator with a trace sink, a self-profiler, a cycle
     /// accountant, and an instruction-lifecycle recorder — the fully
     /// general constructor.
@@ -293,8 +311,8 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         let slots = rob.slot_count();
         Self {
             // lsq-lint: allow(no-unwrap-in-lib, reason = "cfg.validate() succeeded on the previous line")
-            lsq: Lsq::with_tracer(cfg.lsq, tracer.clone()).expect("validated above"),
-            mem: MemoryHierarchy::with_tracer(cfg.hierarchy, tracer.clone()),
+            lsq: Lsq::new(cfg.lsq).expect("validated above"),
+            mem: MemoryHierarchy::new(cfg.hierarchy),
             tracer,
             profiler,
             acct,
@@ -335,7 +353,6 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
             lq_occ: RunningMean::new(),
             sq_occ: RunningMean::new(),
             ooo_loads: RunningMean::new(),
-            inflight_loads: RunningMean::new(),
             cfg,
         }
     }
@@ -360,14 +377,21 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         self.polling_iq = Some(Vec::with_capacity(self.cfg.iq_entries));
     }
 
-    /// Attaches a windowed sampler; it observes every subsequent cycle.
-    /// Attach after warm-up so the timeline covers the measured window
-    /// only, or before it to make warm-up behaviour visible.
-    pub fn set_sampler(&mut self, sampler: Sampler) {
-        self.sampler = Some(sampler);
+    /// Attaches the trace timeline: a sampler of `window`-cycle
+    /// windows that observes every subsequent cycle. Its CSV columns are
+    /// committed instructions, IPC, mean LQ and SQ occupancy, mean
+    /// in-flight loads (the LQ occupancy again: a load holds its entry
+    /// from dispatch to commit), and SQ and LQ searches. Attach after
+    /// warm-up so the timeline covers the measured window only, or
+    /// before it to make warm-up behaviour visible.
+    ///
+    /// # Panics
+    /// If `window` is zero.
+    pub fn set_sampler(&mut self, window: u64) {
+        self.sampler = Some(Sampler::new(window, &TIMELINE));
     }
 
-    /// Detaches the sampler, flushing its partial last window.
+    /// Detaches the trace timeline, flushing its partial last window.
     pub fn take_sampler(&mut self) -> Option<Sampler> {
         let mut s = self.sampler.take()?;
         s.flush();
@@ -376,14 +400,21 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
 
     /// Detaches the cycle accountant's windowed CPI-stack sampler (if
     /// one was attached), flushing its partial last window.
-    pub fn take_cpi_sampler(&mut self) -> Option<CpiStackSampler> {
+    pub fn take_cpi_sampler(&mut self) -> Option<Sampler> {
         self.acct.take_sampler()
+    }
+
+    /// Ends the run and hands back the trace sink with every event it
+    /// received.
+    pub fn into_tracer(self) -> T {
+        self.tracer
     }
 
     /// Pre-warms the cache hierarchy with the workload's data and code
     /// footprints (see [`MemoryHierarchy::prewarm_data`]); the stand-in
     /// for the paper's 3-billion-instruction fast-forward before
-    /// measurement.
+    /// measurement. Warm-up fills are not simulated events: nothing is
+    /// traced.
     pub fn prewarm(&mut self, data_regions: &[(u64, u64)], code: (u64, u64)) {
         self.mem.prewarm_data(data_regions);
         self.mem.prewarm_code(code.0, code.1);
@@ -445,8 +476,6 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
     // lsq-lint: hot
     fn step<S: InstructionStream>(&mut self, stream: &mut S) {
         self.cycle += 1;
-        // One clock for all sinks: the tracer clones in the LSQ and the
-        // hierarchy share the buffer this updates.
         self.tracer.set_cycle(self.cycle);
         self.dcache_used = 0;
         self.timed(Phase::SegmentAdvance, |s| s.lsq.begin_cycle());
@@ -642,24 +671,20 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         }
     }
 
+    /// Records the per-cycle occupancy means and feeds the timeline.
+    // lsq-lint: hot
     fn sample(&mut self) {
-        self.lq_occ.record(self.lsq.lq_occupancy() as f64);
-        self.sq_occ.record(self.lsq.sq_occupancy() as f64);
+        let (lq, sq) = (self.lsq.lq_occupancy(), self.lsq.sq_occupancy());
+        self.lq_occ.record(lq as f64);
+        self.sq_occ.record(sq as f64);
         self.ooo_loads
             .record(self.lsq.out_of_order_issued_loads() as f64);
-        self.inflight_loads.record(self.lsq.lq_occupancy() as f64);
         if let Some(sampler) = &mut self.sampler {
             let stats = self.lsq.stats();
             sampler.observe(
                 self.cycle,
-                SampleInput {
-                    committed: self.committed,
-                    lq_occupancy: self.lsq.lq_occupancy(),
-                    sq_occupancy: self.lsq.sq_occupancy(),
-                    sq_searches: stats.sq_searches,
-                    lq_searches: stats.lq_searches(),
-                    inflight_loads: self.lsq.lq_occupancy(),
-                },
+                &[self.committed, stats.sq_searches, stats.lq_searches()],
+                &[lq as u64, sq as u64],
             );
         }
     }
@@ -708,13 +733,15 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
                     break;
                 }
                 StoreDrain::Drained {
-                    seq: _,
+                    seq,
                     addr,
+                    pc,
                     violation,
                 } => {
                     self.active = true;
                     self.dcache_used += 1;
-                    self.mem.data_access(addr, true);
+                    self.trace_drain(seq, pc, violation);
+                    self.data_access(addr, true);
                     if let Some(victim) = violation {
                         let penalty = self.cfg.mispredict_penalty + self.cfg.pair_recovery_extra;
                         self.squash(victim, penalty, SquashCause::CommitMemOrder);
@@ -850,6 +877,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
                 }
                 match self.timed(Phase::LsqSearch, |s| s.lsq.load_issue(seq)) {
                     LoadIssue::Issued(li) => {
+                        self.trace_load_issue(seq, &e.instr, &li);
                         if let Some(victim) = li.load_order_violation {
                             // §2.2 scheme 1: a younger same-word load
                             // issued out of order; squash it (the
@@ -860,21 +888,12 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
                             // Forwarded data arrives with hit latency.
                             self.cfg.hierarchy.l1d_hit_latency()
                         } else {
-                            self.mem.data_access(e.instr.addr, false)
+                            self.data_access(e.instr.addr, false)
                         };
-                        // Cycle accounting / lifecycle: infer the deepest
-                        // level the access reached from its additive latency.
+                        // Cycle accounting / lifecycle: the deepest level
+                        // the access reached (a forward is an L1 hit).
                         let mem_level = if self.acct.enabled() || self.life.enabled() {
-                            let h = &self.cfg.hierarchy;
-                            if li.forwarded_from.is_some() {
-                                0
-                            } else if lat >= h.l1d.hit_latency + h.l2.hit_latency + h.mem_latency {
-                                2
-                            } else if lat >= h.l1d.hit_latency + h.l2.hit_latency {
-                                1
-                            } else {
-                                0
-                            }
+                            self.access_level(self.cfg.hierarchy.l1d.hit_latency, lat)
                         } else {
                             0
                         };
@@ -921,6 +940,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
             }
             InstrKind::Store => match self.timed(Phase::LsqSearch, |s| s.lsq.store_issue(seq)) {
                 StoreIssue::Issued { violation } => {
+                    self.trace_store_issue(seq, &e.instr, violation);
                     // lsq-lint: allow(no-unwrap-in-lib, reason = "completion events reference only in-flight seqs resident in the ROB")
                     let entry = self.rob.get_mut(seq).expect("resident");
                     entry.state = State::Issued;
@@ -1248,10 +1268,20 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
             if self.life.enabled() {
                 self.life.dispatch(seq, self.cycle, deps);
             }
-            match f.instr.kind {
-                InstrKind::Load => self.lsq.dispatch_load(seq, f.instr.pc, f.instr.addr),
-                InstrKind::Store => self.lsq.dispatch_store(seq, f.instr.pc, f.instr.addr),
-                _ => {}
+            let (pc, addr) = (f.instr.pc, f.instr.addr);
+            let op = match f.instr.kind {
+                InstrKind::Load => {
+                    self.lsq.dispatch_load(seq, pc, addr);
+                    Some(MemOp::Load)
+                }
+                InstrKind::Store => {
+                    self.lsq.dispatch_store(seq, pc, addr);
+                    Some(MemOp::Store)
+                }
+                _ => None,
+            };
+            if let Some(op) = op.filter(|_| self.tracer.enabled()) {
+                self.tracer.emit(Event::Dispatch { op, seq, pc, addr });
             }
             if let Some(dst) = f.instr.dst {
                 self.rename[dst.flat_index()] = Some(seq);
@@ -1304,7 +1334,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
             // fetch for the extra latency.
             let block = instr.pc.0 / i_block;
             if self.cur_fetch_block != Some(block) {
-                let lat = self.mem.inst_fetch(Addr(instr.pc.0));
+                let lat = self.inst_fetch(Addr(instr.pc.0));
                 self.cur_fetch_block = Some(block);
                 let extra = lat.saturating_sub(i_hit);
                 if extra > 0 {
@@ -1337,6 +1367,176 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
     }
 
     // ------------------------------------------------------------------
+    // Memory accesses and tracing
+    // ------------------------------------------------------------------
+
+    /// The level an access of latency `lat` reached, given its L1's hit
+    /// latency: 0 for the L1, 1 for the L2, 2 for memory. Latencies add
+    /// up level by level, and [`SimConfig::validate`] requires non-zero
+    /// L2 and memory latencies, so the level is exact.
+    // lsq-lint: hot
+    fn access_level(&self, l1_hit: u32, lat: u32) -> u8 {
+        let h = &self.cfg.hierarchy;
+        if lat >= l1_hit + h.l2.hit_latency + h.mem_latency {
+            2
+        } else if lat >= l1_hit + h.l2.hit_latency {
+            1
+        } else {
+            0
+        }
+    }
+
+    /// A data access through the hierarchy; returns its latency and
+    /// traces a miss.
+    // lsq-lint: hot
+    fn data_access(&mut self, addr: Addr, write: bool) -> u32 {
+        let lat = self.mem.data_access(addr, write);
+        self.trace_miss(addr, lat, false);
+        lat
+    }
+
+    /// An instruction fetch through the hierarchy; returns its latency
+    /// and traces a miss.
+    // lsq-lint: hot
+    fn inst_fetch(&mut self, addr: Addr) -> u32 {
+        let lat = self.mem.inst_fetch(addr);
+        self.trace_miss(addr, lat, true);
+        lat
+    }
+
+    /// Emits [`Event::CacheMiss`] for an access that left its L1.
+    // lsq-lint: hot
+    fn trace_miss(&mut self, addr: Addr, lat: u32, fetch: bool) {
+        if !self.tracer.enabled() {
+            return;
+        }
+        let h = &self.cfg.hierarchy;
+        let l1_hit = if fetch {
+            h.l1i.hit_latency
+        } else {
+            h.l1d.hit_latency
+        };
+        let level = match self.access_level(l1_hit, lat) {
+            0 => return,
+            1 => MissLevel::L2,
+            _ => MissLevel::Memory,
+        };
+        self.tracer.emit(Event::CacheMiss { addr, level, fetch });
+    }
+
+    /// The PC of in-flight instruction `seq` (0 if not in the ROB).
+    // lsq-lint: hot
+    fn rob_pc(&self, seq: u64) -> Pc {
+        self.rob.get(seq).map_or(Pc(0), |e| e.instr.pc)
+    }
+
+    /// Emits the events of an issued load in the order its LSQ work
+    /// ran: the store-queue search and its segment hops, the load-queue
+    /// search and its hops, the load-buffer search, the forward, a
+    /// useless search, and the issue itself.
+    // lsq-lint: hot
+    fn trace_load_issue(&mut self, seq: u64, instr: &Instruction, li: &LoadIssued) {
+        if !self.tracer.enabled() {
+            return;
+        }
+        let (pc, addr) = (instr.pc, instr.addr);
+        if li.searched_sq {
+            let path = self.lsq.last_sq_path();
+            self.tracer.emit(Event::SqSearch {
+                load: seq,
+                segments: path.len() as u32,
+                hit: li.forwarded_from.is_some(),
+            });
+            trace_seg_path(&mut self.tracer, QueueSide::Sq, path);
+        }
+        if li.searched_lq {
+            self.trace_lq_search(MemOp::Load, seq);
+        }
+        if li.searched_lb {
+            self.tracer.emit(Event::LbSearch { load: seq });
+        }
+        if let Some(store) = li.forwarded_from {
+            self.tracer.emit(Event::Forward {
+                load: seq,
+                store,
+                addr,
+            });
+        }
+        if li.useless_search {
+            self.tracer.emit(Event::UselessSearch { load: seq, pc });
+        }
+        self.tracer.emit(Event::Issue {
+            op: MemOp::Load,
+            seq,
+            pc,
+            addr,
+        });
+    }
+
+    /// Emits the events of an executed store: its execute-time
+    /// violation search (conventional and perfect schemes), the issue,
+    /// and the violation it found.
+    // lsq-lint: hot
+    fn trace_store_issue(&mut self, seq: u64, instr: &Instruction, violation: Option<u64>) {
+        if !self.tracer.enabled() {
+            return;
+        }
+        if !self.cfg.lsq.predictor.detects_at_commit() {
+            self.trace_lq_search(MemOp::Store, seq);
+        }
+        self.tracer.emit(Event::Issue {
+            op: MemOp::Store,
+            seq,
+            pc: instr.pc,
+            addr: instr.addr,
+        });
+        if let Some(victim) = violation {
+            self.trace_violation(victim, instr.pc, false);
+        }
+    }
+
+    /// Emits the events of a drained store: its commit-time violation
+    /// search (pair and aggressive schemes) and the violation it found.
+    // lsq-lint: hot
+    fn trace_drain(&mut self, seq: u64, pc: Pc, violation: Option<u64>) {
+        if !self.tracer.enabled() {
+            return;
+        }
+        if self.cfg.lsq.predictor.detects_at_commit() {
+            self.trace_lq_search(MemOp::Store, seq);
+        }
+        if let Some(victim) = violation {
+            self.trace_violation(victim, pc, true);
+        }
+    }
+
+    /// Emits the load-queue search just performed and its segment hops.
+    // lsq-lint: hot
+    fn trace_lq_search(&mut self, by: MemOp, seq: u64) {
+        let path = self.lsq.last_lq_path();
+        self.tracer.emit(Event::LqSearch {
+            by,
+            seq,
+            segments: path.len() as u32,
+        });
+        trace_seg_path(&mut self.tracer, QueueSide::Lq, path);
+    }
+
+    /// Emits a store-load order violation. The premature load is younger
+    /// than the store and cannot retire before it drains, so it is still
+    /// in the ROB.
+    // lsq-lint: hot
+    fn trace_violation(&mut self, victim: u64, store_pc: Pc, at_commit: bool) {
+        let load_pc = self.rob_pc(victim);
+        self.tracer.emit(Event::Violation {
+            victim,
+            load_pc,
+            store_pc,
+            at_commit,
+        });
+    }
+
+    // ------------------------------------------------------------------
     // Squash
     // ------------------------------------------------------------------
 
@@ -1359,11 +1559,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
         if self.tracer.enabled() {
             // The victim's PC must be read before the ROB truncation
             // removes the entry.
-            let pc = self
-                .rob
-                .get(victim)
-                .map(|e| e.instr.pc)
-                .unwrap_or(lsq_isa::Pc(0));
+            let pc = self.rob_pc(victim);
             self.tracer.emit(Event::Squash {
                 victim,
                 pc,
@@ -1454,7 +1650,7 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
             lq_occupancy: self.lq_occ.mean(),
             sq_occupancy: self.sq_occ.mean(),
             ooo_issued_loads: self.ooo_loads.mean(),
-            inflight_loads: self.inflight_loads.mean(),
+            inflight_loads: self.lq_occ.mean(),
             lsq: self.lsq.stats().clone(),
             l1d_miss_rate: self.mem.l1d_stats().miss_rate(),
             l2_miss_rate: self.mem.l2_stats().miss_rate(),
@@ -1476,6 +1672,20 @@ impl<T: Tracer + Clone, P: Profiler, A: CycleAccountant, L: Lifecycle> Simulator
     /// Finished lifecycle records evicted because the ring was full.
     pub fn pipeview_dropped(&self) -> u64 {
         self.life.dropped()
+    }
+}
+
+/// Emits one [`Event::SegAdvance`] per hop of a multi-segment search
+/// path. A free function (not a method) so callers can borrow the path
+/// from the LSQ while emitting to the tracer.
+// lsq-lint: hot
+fn trace_seg_path<T: Tracer>(tracer: &mut T, queue: QueueSide, path: &[usize]) {
+    for w in path.windows(2) {
+        tracer.emit(Event::SegAdvance {
+            queue,
+            from_segment: w[0] as u32,
+            to_segment: w[1] as u32,
+        });
     }
 }
 
@@ -2133,6 +2343,97 @@ mod tests {
         assert_eq!(format!("{event:?}"), format!("{polling:?}"));
         assert_eq!(event.committed, n);
         assert_eq!(event.lsq.commit_port_delays, 1, "D2's drain blocks once");
+    }
+
+    /// Warm-up fills are not simulated events: a traced simulator's
+    /// prewarm emits nothing, while accesses during the run are traced
+    /// as misses at the level their latency shows.
+    #[test]
+    fn traced_prewarm_is_silent_and_misses_are_traced() {
+        use lsq_obs::TraceBuffer;
+        let tracer = TraceBuffer::with_capacity(64);
+        let mut sim = Simulator::with_parts(SimConfig::default(), tracer, NopProfiler);
+        sim.prewarm(&[(0x10_0000, 4096)], (0x40_0000, 2048));
+        assert_eq!(sim.tracer.len(), 0, "prewarm is silent");
+        sim.data_access(Addr(0x30_0000), false); // memory miss
+        sim.data_access(Addr(0x30_0000), false); // L1 hit: no event
+        sim.inst_fetch(Addr(0x30_0000)); // L1I miss, L2 hit
+        let buf = sim.into_tracer();
+        let events: Vec<_> = buf.events().collect();
+        assert_eq!(events.len(), 2);
+        assert_eq!(
+            events[0].event,
+            Event::CacheMiss {
+                addr: Addr(0x30_0000),
+                level: MissLevel::Memory,
+                fetch: false
+            }
+        );
+        assert_eq!(
+            events[1].event,
+            Event::CacheMiss {
+                addr: Addr(0x30_0000),
+                level: MissLevel::L2,
+                fetch: true
+            }
+        );
+    }
+
+    /// A squash must scrub the squashed instructions' wakeups from the
+    /// timing wheel: seqs are reused by the refetched instructions.
+    ///
+    /// C waits on a load P that misses to memory (older than the squash)
+    /// and on the end F8 of a chain of eight divides. Before the squash
+    /// F8 issues first, so C's wakeup is filed at P's completion. The
+    /// store S, held back by its own divide chain, then finds the
+    /// younger same-address load V premature and squashes from V. The
+    /// refetched C dispatches with P issued and the refetched chain far
+    /// from done: its wakeup time is again P's completion, so a stale
+    /// wheel entry would wake it there, before F8 issues.
+    #[test]
+    fn squash_scrubs_the_wheel_before_seqs_are_reused() {
+        let (r1, f1, f2) = (ArchReg::int(1), ArchReg::fp(1), ArchReg::fp(2));
+        let div = |pc: u64, reg: ArchReg| {
+            Instruction::op(Pc(pc), InstrKind::FpDiv)
+                .with_dst(reg)
+                .with_src(reg)
+        };
+        // P, then S's chain G1-G8 and S.
+        let mut instrs = vec![Instruction::load(Pc(0x1000), Addr(0x10_0000)).with_dst(r1)];
+        instrs.extend((0..8).map(|i| div(0x1004 + 4 * i, f2)));
+        instrs.push(Instruction::store(Pc(0x1030), Addr(0x8000)).with_src(f2));
+        // V, the chain F1-F8, and C.
+        let v = instrs.len() as u64;
+        instrs.push(Instruction::load(Pc(0x1034), Addr(0x8000)));
+        instrs.extend((0..8).map(|i| div(0x1038 + 4 * i, f1)));
+        let c = instrs.len() as u64;
+        instrs.push(alu(0x1058).with_src(r1).with_src(f1));
+        instrs.extend((0..8).map(|i| alu(0x105c + 4 * i)));
+        let n = instrs.len() as u64;
+        let mut stream = VecStream::new(instrs);
+        let mut sim = Simulator::new(SimConfig::default());
+        sim.prewarm(&[(0x8000, 64)], (0x1000, 0x100));
+        let mut squashed_c = false;
+        while sim.committed < n {
+            sim.step(&mut stream);
+            assert!(sim.cycle < 2_000, "the run must finish");
+            squashed_c |= sim.violation_squashes > 0 && sim.rob.get(c).is_none();
+            // No instruction issues while a producer is still waiting.
+            for (seq, e) in sim.rob.iter() {
+                if e.state == State::Issued {
+                    for d in e.deps.iter().flatten() {
+                        assert!(
+                            sim.rob.get(*d).is_none_or(|p| p.state == State::Issued),
+                            "seq {seq} issued at cycle {} before its producer {d}",
+                            sim.cycle
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(sim.violation_squashes, 1, "S finds V premature once");
+        assert!(squashed_c, "C was squashed and refetched");
+        assert!(v < c);
     }
 
     #[test]

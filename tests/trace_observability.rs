@@ -5,7 +5,7 @@
 //! at the offending static instruction.
 
 use lsq::isa::{Addr, ArchReg, InstrKind, Instruction, Pc, VecStream};
-use lsq::obs::{Event, Json, SampleInput, Sampler, SharedTracer, TraceBuffer, TraceConfig};
+use lsq::obs::{Column, Event, Json, Sampler, TraceBuffer, TraceConfig};
 use lsq::pipeline::NopProfiler;
 use lsq::prelude::*;
 
@@ -29,17 +29,16 @@ fn violation_workload(iters: u64) -> Vec<Instruction> {
 }
 
 /// Runs the violation workload with a tracer and sampler attached,
-/// returning the result, the trace snapshot, and the flushed sampler.
+/// returning the result, the trace ring, and the flushed sampler.
 fn traced_run(iters: u64, window: u64) -> (lsq::pipeline::SimResult, TraceBuffer, Sampler) {
     let instrs = violation_workload(iters);
     let n = instrs.len() as u64;
     let mut stream = VecStream::new(instrs);
-    let tracer = SharedTracer::new();
-    let mut sim = Simulator::with_parts(SimConfig::default(), tracer.clone(), NopProfiler);
-    sim.set_sampler(Sampler::new(window));
+    let mut sim = Simulator::with_parts(SimConfig::default(), TraceBuffer::new(), NopProfiler);
+    sim.set_sampler(window);
     let r = sim.run(&mut stream, n);
     let sampler = sim.take_sampler().expect("sampler was set");
-    (r, tracer.snapshot(), sampler)
+    (r, sim.into_tracer(), sampler)
 }
 
 #[test]
@@ -121,6 +120,9 @@ fn chrome_trace_parses_and_carries_lane_metadata() {
          inflight_loads,sq_searches,lq_searches"
     );
     assert!(lines.next().is_some(), "at least one data row");
+    for line in lines {
+        assert_eq!(line.split(',').count(), 10, "one field per column");
+    }
 }
 
 #[test]
@@ -129,7 +131,8 @@ fn windowed_ipc_sums_back_to_aggregate_ipc() {
     let rows = sampler.rows();
     assert!(rows.len() >= 2, "run spans several windows");
     let cycles: u64 = rows.iter().map(|w| w.cycles).sum();
-    let committed: u64 = rows.iter().map(|w| w.committed).sum();
+    // Counter 0 of the timeline is committed instructions.
+    let committed: u64 = rows.iter().map(|w| w.deltas[0]).sum();
     assert_eq!(cycles, r.cycles, "windows partition the run's cycles");
     assert_eq!(committed, r.committed, "windows partition commits");
     let windowed_ipc = committed as f64 / cycles as f64;
@@ -185,18 +188,8 @@ fn trace_config_writes_parseable_files() {
 fn nop_tracer_interface_is_inert() {
     // The default-tracer simulator compiles and runs with no ring at
     // all; this is the configuration the benchmarks measure.
-    let mut sampler = Sampler::new(4);
-    sampler.observe(
-        1,
-        SampleInput {
-            committed: 2,
-            lq_occupancy: 0,
-            sq_occupancy: 0,
-            sq_searches: 0,
-            lq_searches: 0,
-            inflight_loads: 0,
-        },
-    );
+    let mut sampler = Sampler::new(4, &[Column::Delta("committed", 0), Column::Mean("lq", 0)]);
+    sampler.observe(1, &[2], &[0]);
     sampler.flush();
     assert_eq!(sampler.rows().len(), 1);
     let buf = TraceBuffer::new();
